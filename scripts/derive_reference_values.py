@@ -28,13 +28,22 @@ def e_one(alpha):
     return lambda v: 4 * alpha / (c * c + v * v)
 
 
+def casimir_force(alpha0, alpha1, a):
+    """-dE_int/da from the imaginary-axis interaction energy, x = xi a."""
+    c0 = 4 * pi * alpha0 * a
+    c1 = 4 * pi * alpha1 * a
+
+    def f(x):
+        g = exp(-2 * x) / ((c0 + x) * (c1 + x))
+        return g * (2 * x + 2) / (1 - g)
+    return -quad(f, [0, 1, 5, 20, 60, inf]) / (2 * pi * a * a)
+
+
 def main():
     print("# special functions")
     print("erfcx(1)          =", erfc(1) * exp(1))
     print("Ci(1)             =", ci(1))
     print("Ci(2)             =", ci(2))
-    print("theta(1)          =", 1 + 2 * sum(exp(-n * n)
-                                             for n in range(1, 51)))
 
     print("# quadrature pins")
     print("int_1^10 cos(2v)/v^2  =",
@@ -90,6 +99,14 @@ def main():
     print("two-point log Z(beta=5)    =",
           5 * (log(2) - 1) * 4 - mpf(5) / 2 * finite - log_eta_two)
     print("one-point Laurent finite, alpha=1 =", -4 * log(4 * pi))
+
+    print("# Casimir force, a_edge = 1/(2 pi sqrt(alpha0 alpha1))")
+    for alpha0, alpha1 in ((1, 1), (mpf("0.3"), 3)):
+        a_edge = 1 / (2 * pi * sqrt(alpha0 * alpha1))
+        for label, a in (("1.001 a_edge", mpf("1.001") * a_edge),
+                         ("2", 2), ("5", 5), ("20", 20)):
+            print(f"force({alpha0}, {alpha1}, a = {label}) =",
+                  casimir_force(alpha0, alpha1, mpf(a)))
 
 
 if __name__ == "__main__":

@@ -9,10 +9,9 @@ from .models import (BoundStateRegimeError, OnePointModel, ResolventPoint,
                      two_point_spectral_measure)
 from .quad import (IntegrandError, NonConvergenceError, QuadratureResult,
                    QuadratureSpec, integrate_finite, integrate_to_infinity)
-from .specfun import (Accuracy, bessel_k_half, cosine_integral, erfc_scaled,
-                      jacobi_theta_sum, log_gamma)
-from .thermo import (ForceEstimate, PartitionReport, StepTooLargeError,
-                     ThermalState, casimir_force, eta_series_check, log_eta,
+from .specfun import cosine_integral, erfc_scaled, log_gamma
+from .thermo import (ForceEstimate, PartitionReport, ThermalState,
+                     casimir_force, eta_series_check, log_eta,
                      one_point_log_eta_closed, one_point_log_z_closed,
                      one_point_partition, relative_partition,
                      two_point_partition)

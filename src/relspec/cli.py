@@ -11,20 +11,22 @@ non-convergence.
 
 Flag values override config-file values (--config, a flat JSON object keyed
 by flag names with underscores), which override built-in defaults.
+
+--jobs (all commands) and --step (casimir) are deprecated: they are still
+parsed, but only produce a warning on stderr.
 """
 
 import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .models import (BoundStateRegimeError, OnePointModel, TwoPointModel,
                      spectral_measure)
-from .quad import NonConvergenceError, QuadratureSpec
-from .thermo import (StepTooLargeError, ThermalState, casimir_force, log_eta,
+from .quad import TIGHT, NonConvergenceError, QuadratureSpec
+from .thermo import (ThermalState, casimir_force, log_eta,
                      one_point_log_eta_closed, one_point_log_z_closed,
                      one_point_partition, two_point_partition)
 from .verify import run_all
@@ -38,19 +40,19 @@ class CliValidationError(ValueError):
     """Bad parameters or configuration; maps to exit code 2."""
 
 
+_DEPRECATED = ("jobs", "step")
+
 _DEFAULTS = {
     "model": "one-point",
     "beta": 1.0,
     "ell": 1.0,
     "format": "csv",
-    "jobs": 1,
     "v_min": 0.0, "v_max": 10.0,
     "t_min": 1e-3, "t_max": 10.0,
     "s_min": -0.45, "s_max": 0.45,
     "tau_min": 0.5, "tau_max": 5.0,
     "samples": 25,
     "a_min": 1.0, "a_max": 10.0, "steps": 10,
-    "step": 1e-4,
     "log_spacing": False,
     "laurent": False,
     "inject_failure": False,
@@ -73,15 +75,14 @@ class RunConfig:
     out: Optional[str] = None
     abs_tol: Optional[float] = None
     rel_tol: Optional[float] = None
-    jobs: int = 1
     extra: dict = field(default_factory=dict)
 
     def quadrature_spec(self):
         if self.abs_tol is None and self.rel_tol is None:
             return None
         return QuadratureSpec(
-            abs_tol=self.abs_tol if self.abs_tol is not None else 1e-12,
-            rel_tol=self.rel_tol if self.rel_tol is not None else 1e-11)
+            abs_tol=TIGHT.abs_tol if self.abs_tol is None else self.abs_tol,
+            rel_tol=TIGHT.rel_tol if self.rel_tol is None else self.rel_tol)
 
     def build_model(self):
         if self.model == "one-point":
@@ -124,7 +125,7 @@ def _add_common(sub):
     sub.add_argument("--out")
     sub.add_argument("--abs-tol", type=float)
     sub.add_argument("--rel-tol", type=float)
-    sub.add_argument("--jobs", type=int)
+    sub.add_argument("--jobs", type=int, help="deprecated and ignored")
     sub.add_argument("--config")
 
 
@@ -174,8 +175,7 @@ def build_parser():
     p.add_argument("--a-min", type=float)
     p.add_argument("--a-max", type=float)
     p.add_argument("--steps", type=int)
-    p.add_argument("--step", type=float,
-                   help="relative finite-difference step (default 1e-4)")
+    p.add_argument("--step", type=float, help="deprecated and ignored")
 
     p = subs.add_parser("verify", help="run the internal consistency suite")
     _add_common(p)
@@ -185,10 +185,16 @@ def build_parser():
 
 
 def resolve_config(args) -> RunConfig:
-    """Merge flags over config-file values over defaults."""
+    """Merge flags over config-file values over defaults.
+
+    Deprecated flags are dropped with a warning on stderr.
+    """
     values = vars(args).copy()
     command = values.pop("command")
     values.pop("config", None)
+    for flag in _DEPRECATED:
+        if values.pop(flag, None) is not None:
+            sys.stderr.write(f"warning: --{flag} is deprecated and ignored\n")
     file_values = {}
     if getattr(args, "config", None):
         try:
@@ -208,7 +214,7 @@ def resolve_config(args) -> RunConfig:
 
     core = {k: pick(k) for k in ("model", "alpha", "alpha0", "alpha1", "a",
                                  "beta", "ell", "format", "out",
-                                 "abs_tol", "rel_tol", "jobs")}
+                                 "abs_tol", "rel_tol")}
     extra_keys = set(values) - set(core) | {
         k for k in _DEFAULTS if k not in core}
     extra = {k: pick(k) for k in sorted(extra_keys) if pick(k) is not None}
@@ -238,6 +244,11 @@ def emit(cfg: RunConfig, columns, rows, meta=None):
         lines = [",".join(columns)]
         lines += [",".join(_csv_cell(x) for x in row) for row in rows]
         text = "\n".join(lines) + "\n"
+    _write(cfg, text)
+
+
+def _write(cfg: RunConfig, text):
+    """Write text to --out, or to stdout without it."""
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -256,13 +267,6 @@ def _grid(lo, hi, n, logspace=False):
     return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
 
 
-def _map_ordered(fn, items, jobs):
-    if jobs is None or jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_spectral_measure(cfg: RunConfig):
     model = cfg.build_model()
     v_min = cfg.extra["v_min"]
@@ -272,7 +276,7 @@ def cmd_spectral_measure(cfg: RunConfig):
         raise CliValidationError("need 0 <= v-min < v-max")
     e = spectral_measure(model)
     grid = _grid(v_min, v_max, samples)
-    rows = _map_ordered(lambda v: (v, e.eval(v)), grid, cfg.jobs)
+    rows = [(v, e.eval(v)) for v in grid]
     emit(cfg, ("v", "e"), rows, meta={"model": model.describe()})
     return 0
 
@@ -294,7 +298,7 @@ def cmd_heat_trace(cfg: RunConfig):
         def row(t):
             return (t, relative_heat_trace(e, t, spec))
         columns = ("t", "heat_trace")
-    rows = _map_ordered(row, grid, cfg.jobs)
+    rows = [row(t) for t in grid]
     emit(cfg, columns, rows, meta={"model": model.describe()})
     return 0
 
@@ -314,8 +318,7 @@ def cmd_zeta(cfg: RunConfig):
     e = spectral_measure(model)
     grid = _grid(cfg.extra["s_min"], cfg.extra["s_max"],
                  int(cfg.extra["samples"]))
-    rows = _map_ordered(
-        lambda s: (s, relative_zeta_in_strip(e, s, spec)), grid, cfg.jobs)
+    rows = [(s, relative_zeta_in_strip(e, s, spec)) for s in grid]
     emit(cfg, ("s", "zeta"), rows, meta={"model": model.describe()})
     return 0
 
@@ -336,7 +339,7 @@ def cmd_eta(cfg: RunConfig):
         def row(tau):
             return (tau, log_eta(e, tau, spec))
         columns = ("tau", "log_eta")
-    rows = _map_ordered(row, grid, cfg.jobs)
+    rows = [row(tau) for tau in grid]
     emit(cfg, columns, rows, meta={"model": model.describe()})
     return 0
 
@@ -380,12 +383,11 @@ def cmd_casimir(cfg: RunConfig):
     for name in ("alpha0", "alpha1"):
         if getattr(cfg, name) is None:
             raise CliValidationError(f"casimir requires --{name}")
-    th = cfg.thermal_state()
+    cfg.thermal_state()  # validates --beta/--ell; the force uses neither
     spec = cfg.quadrature_spec()
     a_min = cfg.extra["a_min"]
     a_max = cfg.extra["a_max"]
     steps = int(cfg.extra["steps"])
-    h = cfg.extra["step"]
     if not (0 < a_min < a_max):
         raise CliValidationError("need 0 < a-min < a-max")
     grid = _grid(a_min, a_max, max(steps, 2))
@@ -393,13 +395,13 @@ def cmd_casimir(cfg: RunConfig):
     def row(a):
         try:
             model = TwoPointModel(cfg.alpha0, cfg.alpha1, a)
-            force = casimir_force(model, th, h=h, spec=spec)
-        except (BoundStateRegimeError, StepTooLargeError) as exc:
+            force = casimir_force(model, spec)
+        except BoundStateRegimeError as exc:
             sys.stderr.write(f"warning: skipping a = {a:g}: {exc}\n")
             return None
         return (a, force.value, force.error_estimate)
 
-    rows = [r for r in _map_ordered(row, grid, cfg.jobs) if r is not None]
+    rows = [r for r in (row(a) for a in grid) if r is not None]
     emit(cfg, ("a", "force", "error_estimate"), rows,
          meta={"sign_convention": "force = -dE_vacuum/da "
                                   "(negative = attractive)",
@@ -420,12 +422,7 @@ def cmd_verify(cfg: RunConfig):
                     "value": r.value, "tolerance": r.tolerance}
                    for r in results],
     }
-    text = json.dumps(summary, sort_keys=True) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(cfg, json.dumps(summary, sort_keys=True) + "\n")
     return 0 if ok else 1
 
 

@@ -94,6 +94,11 @@ class QuadratureSpec:
         return max(self.abs_tol, self.rel_tol * abs(value))
 
 
+# Internal default for smooth integrals: they are cheap, so they run tighter
+# than the engine default.
+TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float

@@ -1,35 +1,21 @@
 """Special functions used throughout the package.
 
-Every spectral quantity in this package reduces to a handful of classical
-special functions: log Gamma (for the closed-form eta function), the scaled
-complementary error function (heat traces), the cosine integral (finite part
-of the oscillatory zeta tail), the order -1/2 modified Bessel function
-(thermal mode sums), and the one-dimensional Gaussian theta sum.
+The closed forms of this package need three classical special functions:
+log Gamma (the closed-form eta function and log Z), the scaled
+complementary error function (heat traces) and the cosine integral (finite
+part of the oscillatory zeta tail).
 
-All functions here are pure and thread safe.  The gamma / erfc / Ci
-evaluations are delegated to scipy.special, which meets the accuracy targets
-with large margin; the test suite checks them against independent
+All functions here are pure and thread safe.  The evaluations are
+delegated to scipy.special, which meets the accuracy targets with large
+margin; the test suite checks them against independent
 series/continued-fraction oracles.
 """
 
 import math
-from dataclasses import dataclass
 
 from scipy.special import erfcx as _erfcx
 from scipy.special import gammaln as _gammaln
 from scipy.special import sici as _sici
-
-
-@dataclass(frozen=True)
-class Accuracy:
-    """Absolute / relative tolerance pair used by truncated summations."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
 
 
 def log_gamma(x):
@@ -59,40 +45,3 @@ def cosine_integral(x):
         raise ValueError(f"cosine_integral requires finite x > 0, got {x!r}")
     _, ci_val = _sici(x)
     return float(ci_val)
-
-
-def sine_integral(x):
-    """Sine integral Si(x) = int_0^x sin(t)/t dt."""
-    if not math.isfinite(x):
-        raise ValueError(f"sine_integral requires finite x, got {x!r}")
-    si_val, _ = _sici(x)
-    return float(si_val)
-
-
-def bessel_k_half(z):
-    """Modified Bessel function K_{-1/2}(z) = sqrt(pi/(2z)) * exp(-z), z > 0."""
-    if not (isinstance(z, (int, float)) and math.isfinite(z)) or z <= 0:
-        raise ValueError(f"bessel_k_half requires finite z > 0, got {z!r}")
-    return math.sqrt(math.pi / (2.0 * z)) * math.exp(-z)
-
-
-def jacobi_theta_sum(t, acc: Accuracy = Accuracy()):
-    """Gaussian theta sum  theta(t) = sum_{n in Z} exp(-n^2 t)  for t > 0.
-
-    For t < 1 the modular identity theta(t) = sqrt(pi/t) * theta(pi^2/t) is
-    applied first, so the direct sum always runs in the fast-decay regime.
-    Terms are added until they drop below acc.abs_tol.
-    """
-    if not (isinstance(t, (int, float)) and math.isfinite(t)) or t <= 0:
-        raise ValueError(f"jacobi_theta_sum requires finite t > 0, got {t!r}")
-    if t < 1.0:
-        return math.sqrt(math.pi / t) * jacobi_theta_sum(math.pi ** 2 / t, acc)
-    total = 1.0
-    n = 1
-    while True:
-        term = math.exp(-n * n * t)
-        total += 2.0 * term
-        if term < acc.abs_tol or n > 10_000:
-            break
-        n += 1
-    return total

@@ -20,28 +20,38 @@ separation:
     force = - dE_vac/da        (attractive = negative).
 
 The renormalization scale enters E_vac only through the a-independent
-residue term, so the force is exactly ell-independent.
+residue term, so the force is exactly ell-independent.  The a-dependent
+part of R0/2 is the interaction energy, which on the imaginary axis
+(v = i xi; Kenneth & Klich, PRL 97, 160401) reads
+
+    E_int(a) = (1/(2 pi a)) int_0^inf log(1 - g(x)) dx,
+
+    g(x) = exp(-2x) / ((c0 + x)(c1 + x)),  x = xi a,  c_j = 4 pi alpha_j a.
+
+Its exact a-derivative gives the force as one smooth, non-oscillating
+integral,
+
+    force = -(1/(2 pi a^2)) int_0^inf g (2x + 2) / (1 - g) dx,
+
+and g(0) = 1/(c0 c1) <= 1/4 in the admissible region, so the integrand is
+regular even at the constraint edge.  The paper's real-axis Laurent route
+stays the source of E_vac and serves as the independent cross-check of
+the force in ``verify``.
 """
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from scipy.special import exp1 as _exp1
 
 from .models import (OnePointModel, SpectralMeasure, TwoPointModel,
                      one_point_spectral_measure, two_point_spectral_measure)
-from .quad import (QuadratureSpec, integrate_finite, integrate_to_infinity,
+from .quad import (TIGHT, integrate_finite, integrate_to_infinity,
                    require_converged)
 from .specfun import log_gamma
-from .zetareg import LaurentData, one_point_laurent, two_point_laurent_parts
-
-_TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
-
-
-class StepTooLargeError(ValueError):
-    """A finite-difference stencil left the admissible parameter region."""
+from .zetareg import (LaurentData, one_point_laurent, two_point_laurent,
+                      two_point_laurent_parts)
 
 
 @dataclass(frozen=True)
@@ -79,16 +89,10 @@ class PartitionReport:
 
 @dataclass(frozen=True)
 class ForceEstimate:
-    """Casimir force value with a Richardson error estimate.
-
-    coarse/fine are the central-difference estimates at steps h and h/2;
-    value is their Richardson combination.
-    """
+    """Casimir force value with its quadrature error estimate."""
 
     value: float
     error_estimate: float
-    coarse: float
-    fine: float
 
 
 def log_eta(e: SpectralMeasure, tau, spec=None):
@@ -102,7 +106,7 @@ def log_eta(e: SpectralMeasure, tau, spec=None):
         raise ValueError(f"log_eta needs tau > 0, got {tau!r}")
     if e.is_zero:
         return 0.0
-    spec = spec or _TIGHT
+    spec = spec or TIGHT
 
     # (0, 1): v = -log(u)/tau
     def head(u):
@@ -113,9 +117,8 @@ def log_eta(e: SpectralMeasure, tau, spec=None):
     head_val = require_converged(res, "log_eta head")
 
     period = e.oscillation_period
-    tail_spec = spec if period is None else QuadratureSpec(
-        spec.abs_tol, spec.rel_tol, spec.max_subdivisions,
-        oscillation_period=period)
+    tail_spec = spec if period is None else replace(
+        spec, oscillation_period=period)
 
     def tail(v):
         x = tau * v
@@ -170,7 +173,7 @@ def eta_series_check(e: SpectralMeasure, tau, n_max, spec=None):
         raise ValueError(f"eta series needs tau > 0, got {tau!r}")
     if e.is_zero:
         return 0.0
-    spec = spec or _TIGHT
+    spec = spec or TIGHT
 
     def g(p):
         def f(v):
@@ -276,49 +279,28 @@ def two_point_partition(m: TwoPointModel, th: ThermalState,
 
 def two_point_vacuum_energy(m: TwoPointModel, th: ThermalState, spec=None):
     """E_vac from the Laurent data of the two-point pair."""
-    return _vacuum_energy_with_error(m, th, spec)[0]
-
-
-def _vacuum_energy_with_error(m, th, spec):
-    parts = two_point_laurent_parts(m, spec)
+    laurent = two_point_laurent(m, spec)
     scale = math.log(2.0 * th.ell) - 1.0
-    value = -scale * parts["residue"] + 0.5 * parts["finite_part"]
-    return value, 0.5 * parts["quadrature_error"]
+    return -scale * laurent.residue + 0.5 * laurent.finite_part
 
 
-def casimir_force(m: TwoPointModel, th: ThermalState, h=1e-4, spec=None):
-    """Casimir force -dE_vac/da by Richardson-refined central differences.
+def casimir_force(m: TwoPointModel, spec=None) -> ForceEstimate:
+    """Casimir force -dE_vac/da from the imaginary-axis interaction energy.
 
-    Central stencils at relative steps h and h/2 are combined; the error
-    estimate adds the Richardson defect |F(h/2) - F(h)| / 3 to the
-    quadrature noise of the four vacuum-energy evaluations amplified by the
-    difference quotients.  Raises StepTooLargeError when a stencil point
-    violates the two-point constraint.
+    One mapped quadrature of the exact a-derivative (see the module
+    docstring); spec tolerances apply to the dimensionless integral, and
+    the error estimate is its quadrature error scaled by 1/(2 pi a^2).
+    The force depends on neither beta nor ell.
     """
-    if not 0 < h < 0.5:
-        raise ValueError(f"relative step h must be in (0, 0.5), got {h!r}")
+    c0 = 4.0 * math.pi * m.alpha0 * m.a
+    c1 = 4.0 * math.pi * m.alpha1 * m.a
 
-    def evac(a):
-        try:
-            shifted = TwoPointModel(m.alpha0, m.alpha1, a)
-        except ValueError as exc:
-            raise StepTooLargeError(
-                f"stencil point a = {a:g} leaves the admissible region "
-                f"({exc}); retry with a smaller h") from exc
-        return _vacuum_energy_with_error(shifted, th, spec)
+    def integrand(x):
+        g = math.exp(-2.0 * x) / ((c0 + x) * (c1 + x))
+        return g * (2.0 * x + 2.0) / (1.0 - g)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # constraint-boundary warnings
-        estimates = []
-        noises = []
-        for step in (h, 0.5 * h):
-            da = m.a * step
-            e_plus, err_plus = evac(m.a + da)
-            e_minus, err_minus = evac(m.a - da)
-            estimates.append(-(e_plus - e_minus) / (2.0 * da))
-            noises.append((err_plus + err_minus) / (2.0 * da))
-    coarse, fine = estimates
-    value = (4.0 * fine - coarse) / 3.0
-    error = (abs(fine - coarse) + 4.0 * noises[1] + noises[0]) / 3.0
-    return ForceEstimate(value=value, error_estimate=error,
-                         coarse=coarse, fine=fine)
+    res = integrate_to_infinity(integrand, 0.0, spec or TIGHT)
+    scale = 1.0 / (2.0 * math.pi * m.a * m.a)
+    return ForceEstimate(
+        value=-scale * require_converged(res, "casimir force"),
+        error_estimate=scale * res.error_estimate)

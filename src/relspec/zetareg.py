@@ -30,18 +30,16 @@ two-point evaluation well conditioned even when one coupling is huge.
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .models import (OnePointModel, SpectralMeasure, TwoPointModel,
                      two_point_spectral_measure)
-from .quad import (QuadratureSpec, integrate_finite, integrate_to_infinity,
-                   require_converged)
+from .quad import (TIGHT, QuadratureSpec, integrate_finite,
+                   integrate_to_infinity, require_converged)
 from .specfun import cosine_integral, erfc_scaled
 
-# Internal defaults: smooth integrals are cheap and run tighter than the
-# engine default; accelerated oscillatory tails have an honest error floor
-# around 1e-10, so their default tolerance sits above it.
-_TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
+# Accelerated oscillatory tails have an honest error floor around 1e-10, so
+# their internal default tolerance sits above it.
 _OSC = QuadratureSpec(abs_tol=2e-9, rel_tol=1e-9)
 
 
@@ -105,12 +103,10 @@ def relative_heat_trace(e: SpectralMeasure, t, spec=None):
         raise ValueError(f"heat trace needs t > 0, got {t!r}")
     if e.is_zero:
         return 0.0
-    spec = spec or _TIGHT
+    spec = spec or TIGHT
     period = e.oscillation_period
     if period is not None:
-        spec = QuadratureSpec(spec.abs_tol, spec.rel_tol,
-                              spec.max_subdivisions,
-                              oscillation_period=period)
+        spec = replace(spec, oscillation_period=period)
 
     def integrand(v):
         return math.exp(-v * v * t) * e.eval(v)
@@ -189,7 +185,7 @@ def _zeta_head(e, s, spec):
     For Re s > 0 the integrable endpoint singularity is removed by the
     substitution v = u^q with q = 1/(1 - 2 Re s).
     """
-    spec = spec or _TIGHT
+    spec = spec or TIGHT
     s = complex(s)
     sr, si = s.real, s.imag
     if sr >= 0.5:
@@ -232,12 +228,9 @@ def _integral_tail(g, s, spec, oscillation_period=None):
     s = complex(s)
     rp, ip = _power_parts(s)
     if oscillation_period is not None:
-        base = spec or _OSC
-        spec = QuadratureSpec(base.abs_tol, base.rel_tol,
-                              base.max_subdivisions,
-                              oscillation_period=oscillation_period)
+        spec = replace(spec or _OSC, oscillation_period=oscillation_period)
     else:
-        spec = spec or _TIGHT
+        spec = spec or TIGHT
 
     def run(power):
         f = lambda v: power(v) * g(v)
@@ -347,7 +340,7 @@ def two_point_laurent_parts(m: TwoPointModel, spec=None):
     """
     e = two_point_spectral_measure(m)
     head_res = integrate_finite(lambda v: v * e.eval(v), 0.0, 1.0,
-                                spec or _TIGHT)
+                                spec or TIGHT)
     zeta0 = require_converged(head_res, "zeta0 (head integral)")
 
     lor0 = _lorentzian(m.alpha0)
@@ -356,10 +349,7 @@ def two_point_laurent_parts(m: TwoPointModel, spec=None):
     def vh2(v):
         return v * (e.eval(v) - lor0(v) - lor1(v))
 
-    base = spec or _OSC
-    osc_spec = QuadratureSpec(base.abs_tol, base.rel_tol,
-                              base.max_subdivisions,
-                              oscillation_period=e.oscillation_period)
+    osc_spec = replace(spec or _OSC, oscillation_period=e.oscillation_period)
     tail_res = integrate_to_infinity(vh2, 1.0, osc_spec)
     interaction = require_converged(tail_res, "zA (interaction tail)")
 

@@ -130,6 +130,20 @@ def test_casimir_sweep_skips_invalid_rows(capsys):
     assert all(a > 1.0 / (2 * math.pi) for a in kept)
 
 
+def test_casimir_sweep_from_constraint_edge(capsys):
+    code, out, err = run_cli(capsys, "casimir", "--model", "two-point",
+                             "--alpha0", "1", "--alpha1", "1",
+                             "--a-min", "0.16", "--a-max", "20",
+                             "--steps", "20")
+    assert code == 0
+    assert err == ""
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 20
+    forces = [float(row[1]) for row in rows]
+    assert all(f < 0.0 for f in forces)
+    assert all(abs(x) > abs(y) for x, y in zip(forces, forces[1:]))
+
+
 # ---------------------------------------------------------------------------
 # formats, determinism, config
 # ---------------------------------------------------------------------------
@@ -157,16 +171,23 @@ def test_byte_identical_output(tmp_path, capsys):
     assert out1.read_bytes().endswith(b"\n")
 
 
-def test_jobs_do_not_change_output(tmp_path, capsys):
-    base = ["spectral-measure", "--model", "two-point", "--alpha0", "1",
-            "--alpha1", "1", "--a", "1", "--v-min", "0", "--v-max", "20",
-            "--samples", "40"]
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    assert main(base + ["--out", str(serial)]) == 0
-    assert main(base + ["--jobs", "4", "--out", str(threaded)]) == 0
-    capsys.readouterr()
-    assert serial.read_bytes() == threaded.read_bytes()
+def test_jobs_do_not_change_output(capsys):
+    # --jobs and --step are deprecated: parsed, warned about, ignored
+    cases = (
+        (["spectral-measure", "--model", "two-point", "--alpha0", "1",
+          "--alpha1", "1", "--a", "1", "--v-min", "0", "--v-max", "20",
+          "--samples", "40"], ["--jobs", "4"]),
+        (["casimir", "--model", "two-point", "--alpha0", "1",
+          "--alpha1", "1", "--a-min", "1", "--a-max", "3", "--steps", "3"],
+         ["--step", "1e-3"]),
+    )
+    for base, deprecated in cases:
+        code, plain, err = run_cli(capsys, *base)
+        assert code == 0 and err == ""
+        code, flagged, err = run_cli(capsys, *base, *deprecated)
+        assert code == 0
+        assert flagged == plain
+        assert err == f"warning: {deprecated[0]} is deprecated and ignored\n"
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relspec.specfun import (Accuracy, bessel_k_half, cosine_integral,
-                             erfc_scaled, jacobi_theta_sum, log_gamma)
+from relspec.specfun import cosine_integral, erfc_scaled, log_gamma
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -36,11 +35,6 @@ def erfcx_continued_fraction(x, depth=400):
     for n in range(depth, 0, -1):
         tail = (n / 2.0) / (x + tail)
     return 1.0 / (math.sqrt(math.pi) * (x + tail))
-
-
-def theta_direct(t, terms=50):
-    return 1.0 + 2.0 * math.fsum(math.exp(-n * n * t)
-                                 for n in range(1, terms + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -156,73 +150,3 @@ def test_cosine_integral_domain():
     for bad in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError):
             cosine_integral(bad)
-
-
-# ---------------------------------------------------------------------------
-# bessel_k_half
-# ---------------------------------------------------------------------------
-
-def test_bessel_k_half_closed_values():
-    assert bessel_k_half(1.0) == pytest.approx(
-        math.sqrt(math.pi / 2.0) * math.exp(-1.0), rel=1e-15)
-    assert bessel_k_half(1.0) == pytest.approx(0.4610685044, abs=1e-10)
-    assert bessel_k_half(2.0) == pytest.approx(0.1199377719, abs=1e-10)
-
-
-def test_bessel_k_half_decay():
-    values = [bessel_k_half(z) for z in (1.0, 5.0, 20.0, 100.0)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-    assert values[-1] < 1e-40
-
-
-def test_bessel_k_half_domain():
-    with pytest.raises(ValueError):
-        bessel_k_half(0.0)
-    with pytest.raises(ValueError):
-        bessel_k_half(-2.0)
-
-
-# ---------------------------------------------------------------------------
-# jacobi_theta_sum
-# ---------------------------------------------------------------------------
-
-def test_theta_large_t_limit():
-    assert jacobi_theta_sum(80.0) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_theta_frozen_direct_sum_value():
-    # direct-summation oracle (50 terms), frozen: theta(1)
-    assert theta_direct(1.0) == pytest.approx(1.77263720482665215303,
-                                              abs=1e-15)
-    assert jacobi_theta_sum(1.0) == pytest.approx(1.77263720482665215303,
-                                                  rel=1e-12)
-
-
-def test_theta_self_dual_point():
-    t = math.pi
-    dual = math.sqrt(math.pi / t) * jacobi_theta_sum(math.pi ** 2 / t)
-    assert jacobi_theta_sum(t) == pytest.approx(dual, rel=1e-14)
-
-
-def test_theta_modular_identity():
-    for t in (0.1, 0.5, 1.0, 2.0, 10.0):
-        lhs = jacobi_theta_sum(t)
-        rhs = math.sqrt(math.pi / t) * jacobi_theta_sum(math.pi ** 2 / t)
-        assert abs(lhs - rhs) / lhs < 1e-10
-
-
-def test_theta_against_direct_sum():
-    for t in (0.7, 1.3, 3.0, 9.0):
-        assert jacobi_theta_sum(t) == pytest.approx(theta_direct(t),
-                                                    rel=1e-12)
-
-
-def test_theta_domain_and_accuracy_type():
-    with pytest.raises(ValueError):
-        jacobi_theta_sum(0.0)
-    with pytest.raises(ValueError):
-        jacobi_theta_sum(-1.0)
-    with pytest.raises(ValueError):
-        Accuracy(abs_tol=0.0)
-    loose = jacobi_theta_sum(1.0, Accuracy(abs_tol=1e-4, rel_tol=1e-4))
-    assert loose == pytest.approx(1.7726372048266522, abs=1e-3)

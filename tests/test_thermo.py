@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from relspec.models import (OnePointModel, TwoPointModel,
                             one_point_spectral_measure,
                             two_point_spectral_measure)
-from relspec.thermo import (ForceEstimate, StepTooLargeError, ThermalState,
-                            casimir_force, eta_series_check, log_eta,
+from relspec.thermo import (ForceEstimate, ThermalState, casimir_force,
+                            eta_series_check, log_eta,
                             one_point_log_eta_closed, one_point_log_z_closed,
                             one_point_partition, relative_partition,
                             two_point_partition)
+from relspec.verify import paper_route_forces
 from relspec.zetareg import LaurentData, one_point_laurent, two_point_laurent
 
 
@@ -306,43 +307,44 @@ def test_low_temperature_slope_two_point():
 # Casimir force
 # ---------------------------------------------------------------------------
 
+def _edge(alpha0, alpha1):
+    return 1.0 / (2 * math.pi * math.sqrt(alpha0 * alpha1))
+
+
+# 30-digit oracles of the imaginary-axis integral
+@pytest.mark.parametrize("alpha0, alpha1, a, ref", [
+    (1.0, 1.0, 1.001 * _edge(1.0, 1.0), -1.67736781354915108317585747233),
+    (1.0, 1.0, 2.0, -8.98757120619334449807157569344e-5),
+    (1.0, 1.0, 5.0, -2.36926157079497744428517945499e-6),
+    (1.0, 1.0, 20.0, -9.3989973300236075709552496023e-9),
+    (0.3, 3.0, 1.001 * _edge(0.3, 3.0), -1.28386399526465544429827265956),
+    (0.3, 3.0, 2.0, -9.62382927104014263640915549068e-5),
+    (0.3, 3.0, 5.0, -2.5897719346496834627111903986e-6),
+    (0.3, 3.0, 20.0, -1.03981810030736937631680630985e-8),
+])
+def test_force_frozen_references(alpha0, alpha1, a, ref):
+    f = casimir_force(TwoPointModel(alpha0, alpha1, a))
+    assert isinstance(f, ForceEstimate)
+    assert abs(f.value - ref) <= 1e-10 * abs(ref)
+    assert abs(f.value - ref) <= f.error_estimate
+
+
+def test_force_finite_near_constraint_edge():
+    f = casimir_force(TwoPointModel(1.0, 1.0, 1.01 * _edge(1.0, 1.0)))
+    assert math.isfinite(f.value) and f.value < 0.0
+    assert math.isfinite(f.error_estimate)
+
+
 def test_force_ell_invariance():
-    m = TwoPointModel(1.0, 1.0, 1.5)
-    forces = [casimir_force(m, ThermalState(5.0, ell)).value
-              for ell in (0.5, 1.0, 2.0)]
+    forces = paper_route_forces(TwoPointModel(1.0, 1.0, 1.5),
+                                (0.5, 1.0, 2.0))
     assert abs(forces[1] - forces[0]) < 1e-10
     assert abs(forces[2] - forces[0]) < 1e-10
 
 
 def test_force_decays_with_separation():
-    th = ThermalState(5.0)
-    magnitudes = [abs(casimir_force(TwoPointModel(1.0, 1.0, a), th).value)
+    magnitudes = [abs(casimir_force(TwoPointModel(1.0, 1.0, a)).value)
                   for a in (1.0, 2.0, 5.0, 10.0, 50.0)]
     assert all(x > y for x, y in zip(magnitudes, magnitudes[1:]))
     assert magnitudes[-1] < 1e-4
     assert magnitudes[-1] < 1e-9  # regression bound, frozen from a dense run
-
-
-def test_force_stencil_consistency():
-    m = TwoPointModel(1.0, 1.0, 1.0)
-    th = ThermalState(5.0)
-    f = casimir_force(m, th, h=1e-4)
-    assert isinstance(f, ForceEstimate)
-    assert abs(f.fine - f.coarse) <= 3.0 * f.error_estimate + 1e-15
-    g = casimir_force(m, th, h=5e-5)
-    assert abs(f.value - g.value) <= f.error_estimate + g.error_estimate \
-        + 1e-9
-
-
-def test_force_step_too_large():
-    # model just inside the admissible region: a 10% stencil leaves it
-    a_edge = 1.01 / (2 * math.pi)
-    m = TwoPointModel(1.0, 1.0, a_edge)
-    with pytest.raises(StepTooLargeError, match="smaller h"):
-        casimir_force(m, ThermalState(5.0), h=0.1)
-
-
-def test_force_step_validation():
-    m = TwoPointModel(1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        casimir_force(m, ThermalState(5.0), h=0.0)
