@@ -7,7 +7,6 @@ the emitted numbers.
 """
 
 import argparse
-import math
 
 from relspec.models import OnePointModel, TwoPointModel
 from relspec.thermo import ThermalState, one_point_partition, \

@@ -1,12 +1,11 @@
 """Relative spectral functions and zeta-regularized thermodynamics for
 Schroedinger operators with one and two point interactions in flat 3-space."""
 
-from .models import (BoundStateRegimeError, OnePointModel, ResolventPoint,
+from .models import (BoundStateRegimeError, OnePointModel,
                      SingularPointError, SpectralMeasure, TwoPointModel,
                      WrongSheetError, one_point_resolvent_trace,
-                     one_point_spectral_measure, resolvent_point,
-                     spectral_measure, two_point_resolvent_trace,
-                     two_point_spectral_measure)
+                     one_point_spectral_measure, spectral_measure,
+                     two_point_resolvent_trace, two_point_spectral_measure)
 from .quad import (IntegrandError, NonConvergenceError, QuadratureResult,
                    QuadratureSpec, integrate_finite, integrate_to_infinity)
 from .specfun import cosine_integral, erfc_scaled, log_gamma
@@ -16,10 +15,10 @@ from .thermo import (ForceEstimate, PartitionReport, ThermalState,
                      one_point_partition, relative_partition,
                      two_point_partition)
 from .zetareg import (ContinuationRequiredError, LaurentData,
-                      ProbeInconsistencyError, ZetaPoleError, ZetaStrip,
+                      ProbeInconsistencyError, ZetaPoleError,
                       numeric_laurent_probe, one_point_heat_trace_closed,
                       one_point_laurent, one_point_zeta_closed,
-                      relative_heat_trace, relative_zeta_in_strip, strip_for,
+                      relative_heat_trace, relative_zeta_in_strip,
                       two_point_laurent, two_point_laurent_parts)
 
 __version__ = "0.1.0"

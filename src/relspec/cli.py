@@ -11,9 +11,8 @@ non-convergence.
 
 Flag values override config-file values (--config, a flat JSON object keyed
 by flag names with underscores), which override built-in defaults.
-
---jobs (all commands) and --step (casimir) are deprecated: they are still
-parsed, but only produce a warning on stderr.
+Flags must be spelled out in full: an abbreviation such as --step is not
+taken for --steps.
 """
 
 import argparse
@@ -39,8 +38,6 @@ from .zetareg import (ContinuationRequiredError, ZetaPoleError,
 class CliValidationError(ValueError):
     """Bad parameters or configuration; maps to exit code 2."""
 
-
-_DEPRECATED = ("jobs", "step")
 
 _DEFAULTS = {
     "model": "one-point",
@@ -80,9 +77,12 @@ class RunConfig:
     def quadrature_spec(self):
         if self.abs_tol is None and self.rel_tol is None:
             return None
-        return QuadratureSpec(
-            abs_tol=TIGHT.abs_tol if self.abs_tol is None else self.abs_tol,
-            rel_tol=TIGHT.rel_tol if self.rel_tol is None else self.rel_tol)
+        abs_tol = TIGHT.abs_tol if self.abs_tol is None else self.abs_tol
+        rel_tol = TIGHT.rel_tol if self.rel_tol is None else self.rel_tol
+        try:
+            return QuadratureSpec(abs_tol=abs_tol, rel_tol=rel_tol)
+        except ValueError as exc:
+            raise CliValidationError(str(exc)) from exc
 
     def build_model(self):
         if self.model == "one-point":
@@ -125,7 +125,6 @@ def _add_common(sub):
     sub.add_argument("--out")
     sub.add_argument("--abs-tol", type=float)
     sub.add_argument("--rel-tol", type=float)
-    sub.add_argument("--jobs", type=int, help="deprecated and ignored")
     sub.add_argument("--config")
 
 
@@ -136,65 +135,54 @@ def build_parser():
                     "thermodynamics for point interactions.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("spectral-measure",
-                        help="tabulate the relative spectral measure e(v)")
-    _add_common(p)
+    def command(name, summary):
+        sub = subs.add_parser(name, help=summary, allow_abbrev=False)
+        _add_common(sub)
+        return sub
+
+    p = command("spectral-measure",
+                "tabulate the relative spectral measure e(v)")
     p.add_argument("--v-min", type=float)
     p.add_argument("--v-max", type=float)
     p.add_argument("--samples", type=int)
 
-    p = subs.add_parser("heat-trace",
-                        help="tabulate the relative heat trace")
-    _add_common(p)
+    p = command("heat-trace", "tabulate the relative heat trace")
     p.add_argument("--t-min", type=float)
     p.add_argument("--t-max", type=float)
     p.add_argument("--samples", type=int)
     p.add_argument("--log-spacing", action="store_const", const=True)
 
-    p = subs.add_parser("zeta", help="tabulate the relative zeta function "
-                                     "or emit its Laurent data at s = -1/2")
-    _add_common(p)
+    p = command("zeta", "tabulate the relative zeta function or emit its "
+                        "Laurent data at s = -1/2")
     p.add_argument("--s-min", type=float)
     p.add_argument("--s-max", type=float)
     p.add_argument("--samples", type=int)
     p.add_argument("--laurent", action="store_const", const=True)
 
-    p = subs.add_parser("eta", help="tabulate the relative eta logarithm")
-    _add_common(p)
+    p = command("eta", "tabulate the relative eta logarithm")
     p.add_argument("--tau-min", type=float)
     p.add_argument("--tau-max", type=float)
     p.add_argument("--samples", type=int)
 
-    p = subs.add_parser("partition",
-                        help="partition function and vacuum energy")
-    _add_common(p)
+    command("partition", "partition function and vacuum energy")
 
-    p = subs.add_parser("casimir", help="sweep the Casimir force over the "
-                                        "separation of a two-point model")
-    _add_common(p)
+    p = command("casimir", "sweep the Casimir force over the separation of "
+                           "a two-point model")
     p.add_argument("--a-min", type=float)
     p.add_argument("--a-max", type=float)
     p.add_argument("--steps", type=int)
-    p.add_argument("--step", type=float, help="deprecated and ignored")
 
-    p = subs.add_parser("verify", help="run the internal consistency suite")
-    _add_common(p)
+    p = command("verify", "run the internal consistency suite")
     p.add_argument("--inject-failure", action="store_const", const=True,
                    help=argparse.SUPPRESS)
     return parser
 
 
 def resolve_config(args) -> RunConfig:
-    """Merge flags over config-file values over defaults.
-
-    Deprecated flags are dropped with a warning on stderr.
-    """
+    """Merge flags over config-file values over defaults."""
     values = vars(args).copy()
     command = values.pop("command")
     values.pop("config", None)
-    for flag in _DEPRECATED:
-        if values.pop(flag, None) is not None:
-            sys.stderr.write(f"warning: --{flag} is deprecated and ignored\n")
     file_values = {}
     if getattr(args, "config", None):
         try:
@@ -259,12 +247,21 @@ def _write(cfg: RunConfig, text):
 def _grid(lo, hi, n, logspace=False):
     if n < 2:
         raise CliValidationError("samples must be >= 2")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliValidationError(f"grid bounds must be finite, got {lo!r} "
+                                 f"and {hi!r}")
     if logspace:
-        if lo <= 0:
-            raise CliValidationError("log spacing requires positive bounds")
         la, lb = math.log(lo), math.log(hi)
         return [math.exp(la + i * (lb - la) / (n - 1)) for i in range(n)]
     return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
+
+
+def _positive_bounds(cfg: RunConfig, name):
+    """The --<name>-min/--<name>-max pair, both required to be > 0."""
+    lo, hi = cfg.extra[name + "_min"], cfg.extra[name + "_max"]
+    if not (lo > 0 and hi > 0):
+        raise CliValidationError(f"need {name}-min > 0 and {name}-max > 0")
+    return lo, hi
 
 
 def cmd_spectral_measure(cfg: RunConfig):
@@ -284,8 +281,8 @@ def cmd_spectral_measure(cfg: RunConfig):
 def cmd_heat_trace(cfg: RunConfig):
     model = cfg.build_model()
     spec = cfg.quadrature_spec()
-    grid = _grid(cfg.extra["t_min"], cfg.extra["t_max"],
-                 int(cfg.extra["samples"]),
+    t_min, t_max = _positive_bounds(cfg, "t")
+    grid = _grid(t_min, t_max, int(cfg.extra["samples"]),
                  logspace=bool(cfg.extra.get("log_spacing")))
     e = spectral_measure(model)
     if isinstance(model, OnePointModel):
@@ -327,8 +324,8 @@ def cmd_eta(cfg: RunConfig):
     model = cfg.build_model()
     spec = cfg.quadrature_spec()
     e = spectral_measure(model)
-    grid = _grid(cfg.extra["tau_min"], cfg.extra["tau_max"],
-                 int(cfg.extra["samples"]))
+    tau_min, tau_max = _positive_bounds(cfg, "tau")
+    grid = _grid(tau_min, tau_max, int(cfg.extra["samples"]))
     if isinstance(model, OnePointModel) and model.alpha > 0:
         def row(tau):
             q = log_eta(e, tau, spec)
@@ -352,17 +349,15 @@ def cmd_partition(cfg: RunConfig):
         report = one_point_partition(model, th, spec)
         closed = one_point_log_z_closed(model, th)
         explicit = "pass" if abs(report.log_z - closed) < 1e-8 else "fail"
-        def log_z_at(beta):
-            return one_point_partition(
-                model, ThermalState(beta, th.ell), spec).log_z
     else:
         report = two_point_partition(model, th, spec)
         explicit = "n/a"
-        def log_z_at(beta):
-            return two_point_partition(
-                model, ThermalState(beta, th.ell), spec).log_z
-    # low-temperature slope annotation: -d(log Z)/dbeta at beta = 30
-    slope = -(log_z_at(30.5) - log_z_at(29.5))
+    # low-temperature slope annotation: -d(log Z)/dbeta at beta = 30 as a
+    # difference over [29.5, 30.5]; the Laurent terms of log Z are linear in
+    # beta, so only log eta needs evaluating again
+    e = spectral_measure(model)
+    slope = (report.vacuum_energy + log_eta(e, 30.5, spec)
+             - log_eta(e, 29.5, spec))
     columns = ("model", "beta", "ell", "log_z", "vacuum_energy", "eta_log",
                "residue", "finite_part", "explicit_check",
                "slope_beta30", "slope_vs_evac")

@@ -15,13 +15,17 @@ The two-point e(v) is coded as ``(2a/pi) * Re(N(v)/D(v))`` with N, D read
 off the resolvent trace; the two rim contributions are complex conjugates,
 so taking twice the real part performs the boundary-value limit exactly and
 keeps e real by construction.
+
+A SpectralMeasure is the pair (eval, model).  Its asymptotics are not stored
+separately: they follow from the model, and the builders' docstrings state
+them.
 """
 
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Union
 
 
 class WrongSheetError(ValueError):
@@ -101,86 +105,31 @@ Model = Union[OnePointModel, TwoPointModel]
 
 
 @dataclass(frozen=True)
-class TailTerm:
-    """One term of the large-v expansion: coeff * trig(freq*v) / v**power.
-
-    kind is "const" (trig factor 1), "cos" or "sin".
-    """
-
-    coeff: float
-    power: float
-    kind: str = "const"
-    freq: float = 0.0
-
-    def __call__(self, v):
-        base = self.coeff / v ** self.power
-        if self.kind == "const":
-            return base
-        if self.kind == "cos":
-            return base * math.cos(self.freq * v)
-        if self.kind == "sin":
-            return base * math.sin(self.freq * v)
-        raise ValueError(f"unknown tail term kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class SmallVProfile:
-    """Leading behaviour e(v) ~ constant * v**exponent as v -> 0+."""
-
-    constant: float
-    exponent: float = 0.0
-
-    def __call__(self, v):
-        if self.exponent == 0.0:
-            return self.constant
-        return self.constant * v ** self.exponent
-
-
-@dataclass(frozen=True)
 class SpectralMeasure:
-    """Pointwise-evaluable relative spectral measure with its asymptotics.
+    """Pointwise-evaluable relative spectral measure of a model.
 
-    eval(v) is finite and real for every v >= 0.  large_v lists the terms of
-    the v -> infinity expansion through order v^-2; the remainder after
-    subtracting them is O(v^-3).  model keeps a reference to the generating
-    operator pair so that continuation code can exploit closed forms.
+    eval(v) is finite and real for every v >= 0.  model is the generating
+    operator pair; continuation code reads the measure's asymptotics (the
+    Lorentzian subtraction, the cosine-integral term, the oscillation
+    period) from it.
     """
 
     eval: Callable[[float], float]
-    small_v: SmallVProfile
-    large_v: tuple
-    model: Optional[Model] = None
+    model: Model
 
     def __call__(self, v):
         return self.eval(v)
 
     @property
     def is_zero(self):
-        return self.small_v.constant == 0.0 and not self.large_v
+        return isinstance(self.model, OnePointModel) and self.model.alpha == 0
 
     @property
     def oscillation_period(self):
-        """Period of the trigonometric tail factor, or None if smooth."""
-        freqs = [t.freq for t in self.large_v if t.kind in ("cos", "sin")]
-        if not freqs:
-            return None
-        return 2.0 * math.pi / max(freqs)
-
-    def tail_profile(self, v):
-        """Value of the recorded large-v expansion at v."""
-        return sum(term(v) for term in self.large_v)
-
-
-@dataclass(frozen=True)
-class ResolventPoint:
-    """A resolvent-trace sample: spectral point k (Im k > 0) and the trace."""
-
-    k: complex
-    value: complex
-
-    def __post_init__(self):
-        if self.k.imag <= 0:
-            raise WrongSheetError(f"Im k must be positive, got k = {self.k!r}")
+        """Period pi/a of the cos(2av) tail factor, or None if smooth."""
+        if isinstance(self.model, TwoPointModel):
+            return math.pi / self.model.a
+        return None
 
 
 def _require_upper_half(k):
@@ -224,39 +173,23 @@ def two_point_resolvent_trace(m: TwoPointModel, k):
     return (a * a / ika) * num / den
 
 
-def resolvent_point(m: Model, k) -> ResolventPoint:
-    """Evaluate the model's resolvent trace and package it with k."""
-    if isinstance(m, OnePointModel):
-        return ResolventPoint(complex(k), one_point_resolvent_trace(m, k))
-    return ResolventPoint(complex(k), two_point_resolvent_trace(m, k))
-
-
 def one_point_spectral_measure(m: OnePointModel) -> SpectralMeasure:
     """Relative spectral measure e(v) = 4 alpha / ((4 pi alpha)^2 + v^2).
 
+    Small v: e(0) = 1/(4 pi^2 alpha).  Large v: 4 alpha/v^2 + O(v^-4).
     For alpha = 0 the measure is identically zero (the pair degenerates to
     two copies of the free Laplacian).
     """
     alpha = m.alpha
     if alpha == 0.0:
-        return SpectralMeasure(
-            eval=lambda v: 0.0,
-            small_v=SmallVProfile(0.0, 0.0),
-            large_v=(),
-            model=m,
-        )
+        return SpectralMeasure(eval=lambda v: 0.0, model=m)
     c = 4.0 * math.pi * alpha
     c2 = c * c
 
     def eval_one(v):
         return 4.0 * alpha / (c2 + v * v)
 
-    return SpectralMeasure(
-        eval=eval_one,
-        small_v=SmallVProfile(4.0 * alpha / c2, 0.0),
-        large_v=(TailTerm(4.0 * alpha, 2.0),),
-        model=m,
-    )
+    return SpectralMeasure(eval=eval_one, model=m)
 
 
 def two_point_spectral_measure(m: TwoPointModel) -> SpectralMeasure:
@@ -273,14 +206,12 @@ def two_point_spectral_measure(m: TwoPointModel) -> SpectralMeasure:
 
     Small-v limit: (a/pi)(4 pi (alpha0+alpha1) a + 2)/(16 pi^2 alpha0
     alpha1 a^2 - 1).  Large v: (4 pi (alpha0+alpha1) a - 2 cos(2av))
-    / (pi a v^2) + O(v^-3).
+    / (pi a v^2) + O(v^-3), so the tail oscillates with period pi/a.
     """
     a = m.a
-    a0 = m.alpha0
-    a1 = m.alpha1
-    sigma = a0 + a1
-    c0 = 4.0 * math.pi * a0 * a
-    c1 = 4.0 * math.pi * a1 * a
+    sigma = m.alpha0 + m.alpha1
+    c0 = 4.0 * math.pi * m.alpha0 * a
+    c1 = 4.0 * math.pi * m.alpha1 * a
     two_pi_sigma_a = 2.0 * math.pi * sigma * a
     coeff = 2.0 * a / math.pi
 
@@ -291,18 +222,7 @@ def two_point_spectral_measure(m: TwoPointModel) -> SpectralMeasure:
         den = (c0 - iva) * (c1 - iva) - phase
         return coeff * (num / den).real
 
-    small_const = (a / math.pi) * (4.0 * math.pi * sigma * a + 2.0) \
-        / (16.0 * math.pi ** 2 * a0 * a1 * a * a - 1.0)
-    large_v = (
-        TailTerm(4.0 * sigma, 2.0),
-        TailTerm(-2.0 / (math.pi * a), 2.0, "cos", 2.0 * a),
-    )
-    return SpectralMeasure(
-        eval=eval_two,
-        small_v=SmallVProfile(small_const, 0.0),
-        large_v=large_v,
-        model=m,
-    )
+    return SpectralMeasure(eval=eval_two, model=m)
 
 
 def spectral_measure(m: Model) -> SpectralMeasure:

@@ -50,8 +50,7 @@ from .models import (OnePointModel, SpectralMeasure, TwoPointModel,
 from .quad import (TIGHT, integrate_finite, integrate_to_infinity,
                    require_converged)
 from .specfun import log_gamma
-from .zetareg import (LaurentData, one_point_laurent, two_point_laurent,
-                      two_point_laurent_parts)
+from .zetareg import LaurentData, one_point_laurent, two_point_laurent_parts
 
 
 @dataclass(frozen=True)
@@ -216,9 +215,9 @@ def relative_partition(e: SpectralMeasure, laurent: LaurentData,
     log_z = th.beta * scale * laurent.residue \
         - 0.5 * th.beta * laurent.finite_part - eta_log
     e_vac = -scale * laurent.residue + 0.5 * laurent.finite_part
-    tag = e.model.describe() if e.model is not None else "custom"
     return PartitionReport(log_z=log_z, vacuum_energy=e_vac,
-                           eta_log=eta_log, laurent=laurent, model=tag)
+                           eta_log=eta_log, laurent=laurent,
+                           model=e.model.describe())
 
 
 def one_point_partition(m: OnePointModel, th: ThermalState,
@@ -277,11 +276,11 @@ def two_point_partition(m: TwoPointModel, th: ThermalState,
                            model=m.describe(), terms=terms)
 
 
-def two_point_vacuum_energy(m: TwoPointModel, th: ThermalState, spec=None):
-    """E_vac from the Laurent data of the two-point pair."""
-    laurent = two_point_laurent(m, spec)
-    scale = math.log(2.0 * th.ell) - 1.0
-    return -scale * laurent.residue + 0.5 * laurent.finite_part
+def _interaction_kernel(m: TwoPointModel):
+    """g(x) = exp(-2x) / ((c0 + x)(c1 + x)) of the interaction energy."""
+    c0 = 4.0 * math.pi * m.alpha0 * m.a
+    c1 = 4.0 * math.pi * m.alpha1 * m.a
+    return lambda x: math.exp(-2.0 * x) / ((c0 + x) * (c1 + x))
 
 
 def casimir_force(m: TwoPointModel, spec=None) -> ForceEstimate:
@@ -292,11 +291,10 @@ def casimir_force(m: TwoPointModel, spec=None) -> ForceEstimate:
     the error estimate is its quadrature error scaled by 1/(2 pi a^2).
     The force depends on neither beta nor ell.
     """
-    c0 = 4.0 * math.pi * m.alpha0 * m.a
-    c1 = 4.0 * math.pi * m.alpha1 * m.a
+    kernel = _interaction_kernel(m)
 
     def integrand(x):
-        g = math.exp(-2.0 * x) / ((c0 + x) * (c1 + x))
+        g = kernel(x)
         return g * (2.0 * x + 2.0) / (1.0 - g)
 
     res = integrate_to_infinity(integrand, 0.0, spec or TIGHT)

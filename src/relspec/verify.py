@@ -2,8 +2,8 @@
 
 Each check exercises one identity the library is built on: closed forms
 against quadrature, sum rules, Laurent probes against analytic data, the
-degeneracy limit of the two-point model, the ell-invariance of the force,
-and the imaginary-axis force against the paper's real-axis Laurent route.
+degeneracy limit of the two-point model, and the paper's real-axis Laurent
+route against the imaginary-axis interaction energy and force.
 All checks run in a fraction of a second on one core.
 """
 
@@ -140,11 +140,20 @@ def paper_route_forces(m, ells):
             for ell in ells]
 
 
-def check_force_ell_invariance():
-    forces = paper_route_forces(models.TwoPointModel(1.0, 1.0, 1.2),
-                                (0.5, 1.0, 2.0))
-    worst = max(abs(f - forces[0]) for f in forces)
-    return _check("casimir_force_ell_invariance", worst, 1e-10)
+def check_two_point_energy_split():
+    """R0(two)/2 = R0(alpha0)/2 + R0(alpha1)/2 + E_int(a).
+
+    The left side comes from the real-axis Laurent route, E_int from the
+    imaginary-axis integral (1/(2 pi a)) int_0^inf log(1 - g(x)) dx.
+    """
+    m = models.TwoPointModel(1.0, 1.0, 1.2)
+    singles = sum(zetareg.one_point_laurent(models.OnePointModel(alpha))
+                  .finite_part for alpha in (m.alpha0, m.alpha1))
+    split = 0.5 * (zetareg.two_point_laurent(m).finite_part - singles)
+    kernel = thermo._interaction_kernel(m)
+    res = integrate_to_infinity(lambda x: math.log1p(-kernel(x)), 0.0, TIGHT)
+    e_int = res.value / (2.0 * math.pi * m.a)
+    return _check("two_point_energy_split", split - e_int, 1e-8)
 
 
 def check_force_two_routes():
@@ -164,7 +173,7 @@ ALL_CHECKS = (
     check_degeneracy,
     check_explicit_log_z,
     check_ell_covariance,
-    check_force_ell_invariance,
+    check_two_point_energy_split,
     check_force_two_routes,
 )
 

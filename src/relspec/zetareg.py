@@ -25,6 +25,10 @@ oscillatory v^-2 tail is summed by half-period panels.  At s = -1/2 the
 Lorentzian tail integrals collapse to -2 alpha_j log(1 + (4 pi alpha_j)^2),
 which reproduces the closed one-point Laurent data exactly and keeps the
 two-point evaluation well conditioned even when one coupling is huge.
+
+The subtraction data (the couplings alpha_j, the cos(2av) period pi/a and
+the Ci term) come from the model.  Every SpectralMeasure carries its model,
+so the strip and the continuation need no other description of e.
 """
 
 import cmath
@@ -72,29 +76,6 @@ class LaurentData:
 
     residue: float
     finite_part: float
-
-
-@dataclass(frozen=True)
-class ZetaStrip:
-    """Open strip lo < Re s < hi on which the defining integral converges."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("strip requires lo < hi")
-
-    def contains(self, s):
-        return self.lo < complex(s).real < self.hi
-
-
-def strip_for(e: SpectralMeasure) -> ZetaStrip:
-    """Convergence strip derived from the measure's asymptotic data."""
-    if e.is_zero:
-        return ZetaStrip(-0.5, 0.5)
-    decay = min(t.power for t in e.large_v)
-    return ZetaStrip(-(decay - 1.0) / 2.0, (e.small_v.exponent + 1.0) / 2.0)
 
 
 def relative_heat_trace(e: SpectralMeasure, t, spec=None):
@@ -280,39 +261,17 @@ def _continued_zeta(e: SpectralMeasure, s, spec=None):
     model = e.model
     if isinstance(model, OnePointModel):
         alphas = (model.alpha,)
-    elif isinstance(model, TwoPointModel):
-        alphas = (model.alpha0, model.alpha1)
     else:
-        alphas = None
-
-    if alphas is not None:
+        alphas = (model.alpha0, model.alpha1)
+    for a in alphas:
+        total += _lorentzian_tail(a, s, spec) + 4.0 * a / (2.0 * s + 1.0)
+    if isinstance(model, TwoPointModel):
         lorentzians = [_lorentzian(a) for a in alphas]
-        for a in alphas:
-            total += _lorentzian_tail(a, s, spec) + 4.0 * a / (2.0 * s + 1.0)
-        if isinstance(model, TwoPointModel):
-            def h2(v):
-                return e.eval(v) - sum(l(v) for l in lorentzians)
-            total += _integral_tail(h2, s, spec,
-                                    oscillation_period=e.oscillation_period)
-        return total if s.imag != 0 else complex(total).real
 
-    # generic route: subtract the recorded order v^-2 tail terms
-    leading = [t for t in e.large_v if t.power == 2.0]
-
-    def remainder(v):
-        return e.eval(v) - sum(t(v) for t in leading)
-
-    total += _integral_tail(remainder, s, spec,
-                            oscillation_period=e.oscillation_period)
-    for term in leading:
-        if term.kind == "const":
-            total += term.coeff / (2.0 * s + 1.0)
-        else:
-            trig = math.cos if term.kind == "cos" else math.sin
-            period = 2.0 * math.pi / term.freq
-            total += term.coeff * _integral_tail(
-                lambda v, _t=trig, _f=term.freq: _t(_f * v) / (v * v),
-                s, spec, oscillation_period=period)
+        def h2(v):
+            return e.eval(v) - sum(l(v) for l in lorentzians)
+        total += _integral_tail(h2, s, spec,
+                                oscillation_period=e.oscillation_period)
     return total if s.imag != 0 else complex(total).real
 
 
@@ -323,11 +282,10 @@ def relative_zeta_in_strip(e: SpectralMeasure, s, spec=None):
     integrands).  Outside the strip a ContinuationRequiredError is raised;
     the Laurent data functions handle s = -1/2.
     """
-    strip = strip_for(e)
-    if not strip.contains(s):
+    if not -0.5 < complex(s).real < 0.5:
         raise ContinuationRequiredError(
             f"s = {s} outside convergence strip "
-            f"({strip.lo}, {strip.hi}); use the continuation/Laurent API")
+            "(-0.5, 0.5); use the continuation/Laurent API")
     return _continued_zeta(e, s, spec)
 
 
@@ -365,7 +323,6 @@ def two_point_laurent_parts(m: TwoPointModel, spec=None):
         "ci_term": ci_term,
         "residue": residue,
         "finite_part": finite,
-        "quadrature_error": head_res.error_estimate + tail_res.error_estimate,
     }
 
 
@@ -379,8 +336,7 @@ def two_point_laurent(m: TwoPointModel, spec=None) -> LaurentData:
     return LaurentData(parts["residue"], parts["finite_part"])
 
 
-def numeric_laurent_probe(e: SpectralMeasure, profile=None,
-                          deltas=(0.04, 0.02, 0.01),
+def numeric_laurent_probe(e: SpectralMeasure, deltas=(0.04, 0.02, 0.01),
                           consistency_tol=1e-4, spec=None) -> LaurentData:
     """Residue and finite part at s = -1/2 by Richardson extrapolation.
 
@@ -389,16 +345,9 @@ def numeric_laurent_probe(e: SpectralMeasure, profile=None,
     finite part with even-power error expansions, which two Richardson
     levels then eliminate.  This is a cross-check of the closed Laurent
     data through an independent numerical path.
-
-    profile optionally overrides the measure's recorded large-v data (the
-    subtraction the continuation relies on); by default the measure's own
-    profile is used.
     """
     if e.is_zero:
         return LaurentData(0.0, 0.0)
-    if profile is not None and tuple(profile) != tuple(e.large_v):
-        e = SpectralMeasure(eval=e.eval, small_v=e.small_v,
-                            large_v=tuple(profile), model=e.model)
     if any(d2 * 2 != d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValueError("deltas must halve at each step")
 

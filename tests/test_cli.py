@@ -4,6 +4,8 @@ import math
 import pytest
 
 from relspec.cli import main
+from relspec.models import TwoPointModel
+from relspec.thermo import ThermalState, two_point_partition
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +116,15 @@ def test_partition_two_point(capsys):
     record = dict(zip(header, values))
     assert record["explicit_check"] == "n/a"
     assert float(record["log_z"]) == pytest.approx(44.5037210, abs=1e-5)
+    # the Laurent terms are linear in beta, so the slope over [29.5, 30.5]
+    # is E_vac + log eta(30.5) - log eta(29.5)
+    m = TwoPointModel(1.0, 1.0, 1.0)
+
+    def log_z(beta):
+        return two_point_partition(m, ThermalState(beta)).log_z
+
+    assert float(record["slope_beta30"]) == pytest.approx(
+        -(log_z(30.5) - log_z(29.5)), rel=1e-10, abs=1e-10)
 
 
 def test_casimir_sweep_skips_invalid_rows(capsys):
@@ -172,22 +183,24 @@ def test_byte_identical_output(tmp_path, capsys):
 
 
 def test_jobs_do_not_change_output(capsys):
-    # --jobs and --step are deprecated: parsed, warned about, ignored
+    # --jobs and --step are gone; --step must not pass for --steps either
     cases = (
         (["spectral-measure", "--model", "two-point", "--alpha0", "1",
           "--alpha1", "1", "--a", "1", "--v-min", "0", "--v-max", "20",
           "--samples", "40"], ["--jobs", "4"]),
         (["casimir", "--model", "two-point", "--alpha0", "1",
           "--alpha1", "1", "--a-min", "1", "--a-max", "3", "--steps", "3"],
-         ["--step", "1e-3"]),
+         ["--step", "1"]),
     )
-    for base, deprecated in cases:
-        code, plain, err = run_cli(capsys, *base)
+    for base, removed in cases:
+        code, _, err = run_cli(capsys, *base)
         assert code == 0 and err == ""
-        code, flagged, err = run_cli(capsys, *base, *deprecated)
-        assert code == 0
-        assert flagged == plain
-        assert err == f"warning: {deprecated[0]} is deprecated and ignored\n"
+        with pytest.raises(SystemExit) as exc:
+            main(base + removed)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(removed)}" in err
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -242,6 +255,28 @@ def test_exit_2_outside_strip(capsys):
                            "--samples", "3")
     assert code == 2
     assert "strip" in err
+
+
+_CASIMIR = ("casimir", "--model", "two-point", "--alpha0", "1",
+            "--alpha1", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    _CASIMIR + ("--abs-tol", "0"),
+    ("heat-trace", "--alpha", "1", "--rel-tol", "-1"),
+    ("heat-trace", "--alpha", "1", "--t-min", "0"),
+    ("heat-trace", "--alpha", "1", "--t-min", "-1", "--t-max", "1"),
+    ("eta", "--alpha", "1", "--tau-min", "0"),
+    ("heat-trace", "--alpha", "1", "--t-max", "inf"),
+    ("eta", "--alpha", "1", "--tau-max", "inf"),
+    _CASIMIR + ("--a-min", "1", "--a-max", "inf"),
+])
+def test_exit_2_on_bad_numeric_flags(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_exit_3_on_non_convergence(capsys):

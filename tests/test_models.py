@@ -4,9 +4,9 @@ import math
 import pytest
 
 from relspec.models import (BoundStateRegimeError, OnePointModel,
-                            ResolventPoint, SpectralMeasure, TwoPointModel,
-                            WrongSheetError, one_point_resolvent_trace,
-                            one_point_spectral_measure, resolvent_point,
+                            SpectralMeasure, TwoPointModel, WrongSheetError,
+                            one_point_resolvent_trace,
+                            one_point_spectral_measure,
                             two_point_resolvent_trace,
                             two_point_spectral_measure, two_rim_measure)
 from relspec.quad import QuadratureSpec, integrate_to_infinity
@@ -98,14 +98,6 @@ def test_two_point_trace_swap_symmetry():
         assert a == b
 
 
-def test_resolvent_point_wrapper():
-    p = resolvent_point(OnePointModel(0.25), 1j)
-    assert isinstance(p, ResolventPoint)
-    assert p.value == one_point_resolvent_trace(OnePointModel(0.25), 1j)
-    with pytest.raises(WrongSheetError):
-        ResolventPoint(1.0 + 0j, 0.0j)
-
-
 # ---------------------------------------------------------------------------
 # one-point spectral measure
 # ---------------------------------------------------------------------------
@@ -136,26 +128,28 @@ def test_one_point_zero_measure():
 
 
 def test_one_point_profiles_match_eval():
+    # e(0) = 1/(4 pi^2 alpha) and e(v) ~ 4 alpha / v^2
     alpha = 0.25
     e = one_point_spectral_measure(OnePointModel(alpha))
-    assert e.small_v.constant == pytest.approx(1.0 / (4 * math.pi ** 2
-                                                      * alpha), rel=1e-14)
-    assert e.eval(1e-6) == pytest.approx(e.small_v(1e-6), rel=1e-10)
+    at_origin = 1.0 / (4 * math.pi ** 2 * alpha)
+    assert e.eval(0.0) == pytest.approx(at_origin, rel=1e-14)
+    assert e.eval(1e-6) == pytest.approx(at_origin, rel=1e-10)
     for v in (1e3, 1e4):
-        assert e.eval(v) == pytest.approx(e.tail_profile(v), rel=1e-5)
+        assert e.eval(v) == pytest.approx(4 * alpha / v ** 2, rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
 # two-point spectral measure
 # ---------------------------------------------------------------------------
 
-def test_two_point_small_v_constant():
+def test_two_point_measure_at_origin():
+    # (a/pi)(4 pi (alpha0+alpha1) a + 2)/(16 pi^2 alpha0 alpha1 a^2 - 1)
     m = TwoPointModel(1.0, 1.0, 1.0)
     e = two_point_spectral_measure(m)
     expected = (1.0 / math.pi) * (8 * math.pi + 2) / (16 * math.pi ** 2 - 1)
-    assert e.small_v.constant == pytest.approx(expected, rel=1e-14)
+    assert e.eval(0.0) == pytest.approx(expected, rel=1e-14)
     assert e.eval(0.0) == pytest.approx(0.05504058218377025754, rel=1e-13)
-    assert e.eval(1e-6) == pytest.approx(e.small_v.constant, rel=1e-9)
+    assert e.eval(1e-6) == pytest.approx(expected, rel=1e-9)
 
 
 def test_two_point_frozen_value():
@@ -191,12 +185,16 @@ def test_two_point_degeneracy_pointwise():
 
 
 def test_two_point_tail_residual_decay():
-    # |e - profile| <= C / v^3 on [10, 1e3]; C frozen from a dense scan
+    # |e - (4 pi sigma a - 2 cos 2av)/(pi a v^2)| <= C / v^3 on [10, 1e3],
+    # sigma = alpha0 + alpha1; C frozen from a dense scan
     e = two_point_spectral_measure(TwoPointModel(1.0, 1.0, 1.0))
+    sigma, a = 2.0, 1.0
     C = 80.0
     for i in range(60):
         v = 10.0 * (100.0 ** (i / 59.0))
-        assert abs(e.eval(v) - e.tail_profile(v)) <= C / v ** 3
+        tail = ((4 * math.pi * sigma * a - 2 * math.cos(2 * a * v))
+                / (math.pi * a * v ** 2))
+        assert abs(e.eval(v) - tail) <= C / v ** 3
 
 
 def test_two_point_oscillation_period():
@@ -236,12 +234,6 @@ def test_two_rim_domain():
         two_rim_measure(OnePointModel(0.25), -1.0, 1e-4)
     with pytest.raises(ValueError):
         two_rim_measure(OnePointModel(0.25), 1.0, 4.0)
-
-
-def test_tail_term_unknown_kind():
-    from relspec.models import TailTerm
-    with pytest.raises(ValueError):
-        TailTerm(1.0, 2.0, "tan", 1.0)(2.0)
 
 
 def test_measure_is_callable():
