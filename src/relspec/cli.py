@@ -10,7 +10,10 @@ Exit codes: 0 success, 2 invalid parameters or configuration, 3 numerical
 non-convergence.
 
 Flag values override config-file values (--config, a flat JSON object keyed
-by flag names with underscores), which override built-in defaults.
+by flag names with underscores), which override built-in defaults.  A
+config value must have its flag's JSON type: a number for numeric flags, an
+integer for --samples and --steps, a boolean for switches and a string
+otherwise.
 Flags must be spelled out in full: an abbreviation such as --step is not
 taken for --steps.
 """
@@ -178,7 +181,28 @@ def build_parser():
     return parser
 
 
-def resolve_config(args) -> RunConfig:
+def _check_config_value(key, value, action):
+    """Raise unless a config value has the JSON type of its flag's action."""
+    if action.type is float:
+        kind, types = "a number", (int, float)
+    elif action.type is int:
+        kind, types = "an integer", (int,)
+    elif action.const is True:
+        kind, types = "a boolean", (bool,)
+    else:
+        kind, types = "a string", (str,)
+    # bool is an int subtype, so booleans are told apart explicitly
+    if (isinstance(value, bool) != (types == (bool,))
+            or not isinstance(value, types)):
+        raise CliValidationError(
+            f"config key {key!r} must be {kind}, got {json.dumps(value)}")
+    if action.choices is not None and value not in action.choices:
+        raise CliValidationError(
+            f"config key {key!r} must be one of "
+            f"{', '.join(action.choices)}, got {json.dumps(value)}")
+
+
+def resolve_config(args, parser) -> RunConfig:
     """Merge flags over config-file values over defaults."""
     values = vars(args).copy()
     command = values.pop("command")
@@ -192,6 +216,12 @@ def resolve_config(args) -> RunConfig:
             raise CliValidationError(f"cannot read config file: {exc}")
         if not isinstance(file_values, dict):
             raise CliValidationError("config file must hold a JSON object")
+        subs = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in subs.choices[command]._actions}
+        for key, value in file_values.items():
+            if key in values:
+                _check_config_value(key, value, actions[key])
 
     def pick(key):
         if values.get(key) is not None:
@@ -268,7 +298,7 @@ def cmd_spectral_measure(cfg: RunConfig):
     model = cfg.build_model()
     v_min = cfg.extra["v_min"]
     v_max = cfg.extra["v_max"]
-    samples = int(cfg.extra["samples"])
+    samples = cfg.extra["samples"]
     if not (0 <= v_min < v_max):
         raise CliValidationError("need 0 <= v-min < v-max")
     e = spectral_measure(model)
@@ -282,7 +312,7 @@ def cmd_heat_trace(cfg: RunConfig):
     model = cfg.build_model()
     spec = cfg.quadrature_spec()
     t_min, t_max = _positive_bounds(cfg, "t")
-    grid = _grid(t_min, t_max, int(cfg.extra["samples"]),
+    grid = _grid(t_min, t_max, cfg.extra["samples"],
                  logspace=bool(cfg.extra.get("log_spacing")))
     e = spectral_measure(model)
     if isinstance(model, OnePointModel):
@@ -313,8 +343,7 @@ def cmd_zeta(cfg: RunConfig):
              meta={"model": model.describe(), "expansion_point": -0.5})
         return 0
     e = spectral_measure(model)
-    grid = _grid(cfg.extra["s_min"], cfg.extra["s_max"],
-                 int(cfg.extra["samples"]))
+    grid = _grid(cfg.extra["s_min"], cfg.extra["s_max"], cfg.extra["samples"])
     rows = [(s, relative_zeta_in_strip(e, s, spec)) for s in grid]
     emit(cfg, ("s", "zeta"), rows, meta={"model": model.describe()})
     return 0
@@ -325,7 +354,7 @@ def cmd_eta(cfg: RunConfig):
     spec = cfg.quadrature_spec()
     e = spectral_measure(model)
     tau_min, tau_max = _positive_bounds(cfg, "tau")
-    grid = _grid(tau_min, tau_max, int(cfg.extra["samples"]))
+    grid = _grid(tau_min, tau_max, cfg.extra["samples"])
     if isinstance(model, OnePointModel) and model.alpha > 0:
         def row(tau):
             q = log_eta(e, tau, spec)
@@ -382,7 +411,7 @@ def cmd_casimir(cfg: RunConfig):
     spec = cfg.quadrature_spec()
     a_min = cfg.extra["a_min"]
     a_max = cfg.extra["a_max"]
-    steps = int(cfg.extra["steps"])
+    steps = cfg.extra["steps"]
     if not (0 < a_min < a_max):
         raise CliValidationError("need 0 < a-min < a-max")
     grid = _grid(a_min, a_max, max(steps, 2))
@@ -436,7 +465,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args)
+        cfg = resolve_config(args, parser)
         return _COMMANDS[cfg.command](cfg)
     except (CliValidationError, BoundStateRegimeError,
             ContinuationRequiredError, ZetaPoleError) as exc:

@@ -3,7 +3,7 @@
 Two entry points:
 
 * :func:`integrate_finite` is a globally adaptive Gauss-Kronrod (7, 15)
-  bisection scheme on a bounded interval, with optional user breakpoints.
+  bisection scheme on a bounded interval.
 
 * :func:`integrate_to_infinity` handles ``(lo, inf)``.  Smooth decaying
   integrands are mapped onto (0, 1) through ``v = lo + u/(1-u)``.  When the
@@ -21,7 +21,7 @@ that need a hard failure use :func:`require_converged`.
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 # 15-point Kronrod extension of 7-point Gauss (QUADPACK qk15 constants).
@@ -64,29 +64,23 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and hints controlling a quadrature call.
+    """Tolerances of a quadrature call, and the integrand's period.
 
-    split_points are interior breakpoints the adaptive pass must respect
-    (known kinks, scale changes).  oscillation_period, when set, is the
-    period of the trigonometric factor of the integrand and switches
+    A result converges when its error estimate is at most
+    max(abs_tol, rel_tol |value|); both tolerances must be finite and
+    positive.  oscillation_period, when set, is the period of the
+    trigonometric factor of the integrand and switches
     integrate_to_infinity into panel-summation mode.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    max_subdivisions: int = 2000
-    split_points: tuple = field(default_factory=tuple)
     oscillation_period: float | None = None
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        pts = tuple(float(p) for p in self.split_points)
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ValueError("split_points must be strictly increasing")
-        object.__setattr__(self, "split_points", pts)
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and strictly "
+                             "positive")
         if self.oscillation_period is not None and self.oscillation_period <= 0:
             raise ValueError("oscillation_period must be positive")
 
@@ -130,7 +124,7 @@ class _EvalCounter:
 
 
 def _gk15(f, a, b):
-    """One Gauss-Kronrod (7,15) panel: (value, error, resabs)."""
+    """One Gauss-Kronrod (7,15) panel: (value, error)."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
     fc = f(center)
@@ -162,7 +156,7 @@ def _gk15(f, a, b):
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     err = max(err, 50.0 * _EPS * resabs)
-    return value, err, resabs
+    return value, err
 
 
 def integrate_finite(f, lo, hi, spec: QuadratureSpec | None = None):
@@ -170,24 +164,14 @@ def integrate_finite(f, lo, hi, spec: QuadratureSpec | None = None):
     spec = spec or QuadratureSpec()
     if not lo < hi:
         raise ValueError(f"integrate_finite requires lo < hi, got [{lo}, {hi}]")
-    counter = _EvalCounter(f)
-    edges = [lo] + [p for p in spec.split_points if lo < p < hi] + [hi]
-    return _adaptive(counter, edges, spec)
+    return _adaptive(_EvalCounter(f), lo, hi, spec, budget=2000)
 
 
-def _adaptive(counter, edges, spec, budget=None):
-    """Heap-driven bisection over the initial segments given by edges."""
-    budget = budget if budget is not None else spec.max_subdivisions
-    heap = []
-    total = 0.0
-    total_err = 0.0
-    seq = 0
-    for a, b in zip(edges, edges[1:]):
-        v, e, _ = _gk15(counter, a, b)
-        total += v
-        total_err += e
-        heapq.heappush(heap, (-e, seq, a, b, v, e))
-        seq += 1
+def _adaptive(counter, lo, hi, spec, budget):
+    """Heap-driven bisection of (lo, hi), at most budget splits."""
+    total, total_err = _gk15(counter, lo, hi)
+    heap = [(-total_err, 0, lo, hi, total, total_err)]
+    seq = 1
     splits = 0
     while total_err > spec.tolerance_for(total) and splits < budget:
         _, _, a, b, v, e = heapq.heappop(heap)
@@ -197,8 +181,8 @@ def _adaptive(counter, edges, spec, budget=None):
             heapq.heappush(heap, (-e, seq, a, b, v, e))
             seq += 1
             break
-        v1, e1, _ = _gk15(counter, a, mid)
-        v2, e2, _ = _gk15(counter, mid, b)
+        v1, e1 = _gk15(counter, a, mid)
+        v2, e2 = _gk15(counter, mid, b)
         total += v1 + v2 - v
         total_err += e1 + e2 - e
         heapq.heappush(heap, (-e1, seq, a, mid, v1, e1))
@@ -237,10 +221,7 @@ def integrate_to_infinity(f, lo, spec: QuadratureSpec | None = None):
     if spec.oscillation_period is not None:
         return _oscillatory_tail(f, lo, spec)
     mapped = _MappedTail(_EvalCounter(f), lo)
-    # carry user breakpoints through the map u = (v - lo)/(1 + v - lo)
-    interior = [(p - lo) / (1.0 + p - lo) for p in spec.split_points if p > lo]
-    edges = [0.0] + interior + [1.0]
-    return _adaptive(mapped, edges, spec)
+    return _adaptive(mapped, 0.0, 1.0, spec, budget=2000)
 
 
 def _wynn_epsilon(partial_sums):
@@ -277,27 +258,22 @@ def _oscillatory_tail(f, lo, spec):
 
     Panels of width oscillation_period/2 give sign-alternating
     contributions once the decaying envelope dominates; Wynn's epsilon on
-    the partial sums then converges far beyond the walked range.
+    the partial sums then converges far beyond the walked range.  At most
+    600 panels are walked, each with at most 60 bisections.
     """
     half = spec.oscillation_period / 2.0
     counter = _EvalCounter(f)
-    panel_spec = QuadratureSpec(
-        abs_tol=max(spec.abs_tol / 50.0, 1e-15),
-        rel_tol=min(spec.rel_tol, 1e-10),
-        max_subdivisions=60,
-    )
-    max_panels = min(600, 4 * spec.max_subdivisions)
+    panel_spec = QuadratureSpec(abs_tol=max(spec.abs_tol / 50.0, 1e-15),
+                                rel_tol=min(spec.rel_tol, 1e-10))
     sums = []
     total = 0.0
     best = 0.0
     best_err = math.inf
     quiet = 0
-    splits_used = 0
-    for j in range(max_panels):
+    for j in range(600):
         a = lo + j * half
         b = a + half
-        r = _adaptive(counter, [a, b], panel_spec)
-        splits_used += 1
+        r = _adaptive(counter, a, b, panel_spec, budget=60)
         total += r.value
         sums.append(total)
         # fast-decaying envelopes need no acceleration: stop on tiny panels
@@ -319,8 +295,6 @@ def _oscillatory_tail(f, lo, spec):
                 best, best_err = est, err
             if best_err <= spec.tolerance_for(best):
                 return QuadratureResult(best, best_err, counter.count, True)
-        if splits_used >= spec.max_subdivisions:
-            break
     if best_err is math.inf:
         best, best_err = total, abs(total - (sums[-2] if len(sums) > 1 else 0.0))
     converged = best_err <= spec.tolerance_for(best)

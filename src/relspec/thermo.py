@@ -241,12 +241,9 @@ def one_point_log_z_closed(m: OnePointModel, th: ThermalState):
     """
     if m.alpha == 0.0:
         return 0.0
-    z = 2.0 * m.alpha * th.beta
     scale_term = 2.0 * m.alpha * th.beta * (
         math.log(8.0 * math.pi * m.alpha * th.ell) - 1.0)
-    binet = (log_gamma(z) + 0.5 * math.log(z) - z * (math.log(z) - 1.0)
-             - 0.5 * math.log(2.0 * math.pi))
-    return scale_term + binet
+    return scale_term - one_point_log_eta_closed(m, th.beta)
 
 
 def two_point_partition(m: TwoPointModel, th: ThermalState,

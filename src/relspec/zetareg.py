@@ -4,15 +4,16 @@ The relative zeta function of an operator pair with spectral measure e(v) is
 
     zeta(s) = int_0^inf v^(-2s) e(v) dv,
 
-convergent on the strip -1/2 < Re s < 1/2 for the models implemented here
+convergent on the strip -1/2 < s < 1/2 for the models implemented here
 (e is bounded at v = 0 and decays like v^-2).  The thermodynamic formulas
 need the residue and finite part of the continuation at s = -1/2, where the
-v^-2 tail produces a simple pole.
+v^-2 tail produces a simple pole.  Only real s is supported.
 
-Continuation strategy: split at v = 1, subtract the exact Lorentzian
-measures of the individual interaction points from the tail, and carry the
-subtracted pieces in closed form.  Writing e1(alpha; v) = 4 alpha /
-((4 pi alpha)^2 + v^2),
+One continuation core serves the strip, the numeric probe and the Laurent
+data: split at v = 1, subtract the exact Lorentzian measures of the
+individual interaction points from the tail, and carry the subtracted
+pieces in closed form.  Writing e1(alpha; v) = 4 alpha / ((4 pi alpha)^2
++ v^2),
 
     zeta(s) = int_0^1 v^(-2s) e dv
             + sum_j [ int_1^inf v^(-2s) (e1(alpha_j) - 4 alpha_j / v^2) dv
@@ -24,14 +25,15 @@ with h2 = e - sum_j e1(alpha_j).  The pole lives entirely in the explicit
 oscillatory v^-2 tail is summed by half-period panels.  At s = -1/2 the
 Lorentzian tail integrals collapse to -2 alpha_j log(1 + (4 pi alpha_j)^2),
 which reproduces the closed one-point Laurent data exactly and keeps the
-two-point evaluation well conditioned even when one coupling is huge.
+two-point evaluation well conditioned even when one coupling is huge.  The
+finite part is the head plus these tails; the closed cosine-integral term
+2 Ci(2a)/(pi a) of the h2 tail is computed only to report it separately.
 
-The subtraction data (the couplings alpha_j, the cos(2av) period pi/a and
-the Ci term) come from the model.  Every SpectralMeasure carries its model,
-so the strip and the continuation need no other description of e.
+The subtraction data (the couplings alpha_j and the cos(2av) period pi/a)
+come from the model.  Every SpectralMeasure carries its model, so the strip
+and the continuation need no other description of e.
 """
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -111,20 +113,16 @@ def one_point_heat_trace_closed(m: OnePointModel, t):
 
 
 def one_point_zeta_closed(m: OnePointModel, s):
-    """Closed relative zeta (1/2) (4 pi alpha)^(-2s) / cos(pi s)."""
-    s = complex(s)
+    """Closed relative zeta (1/2) (4 pi alpha)^(-2s) / cos(pi s), real s."""
     if m.alpha == 0.0:
-        return 0.0 if s.imag == 0 else 0.0 + 0.0j
-    cos_ps = cmath.cos(math.pi * s)
+        return 0.0
+    cos_ps = math.cos(math.pi * s)
     if abs(cos_ps) < 1e-12:
-        nearest = round(s.real - 0.5) + 0.5
+        nearest = round(s - 0.5) + 0.5
         raise ZetaPoleError(
             f"zeta has a pole at half-integer s; s = {s} is too close to "
             f"{nearest}")
-    val = 0.5 * (4.0 * math.pi * m.alpha) ** (-2.0 * s) / cos_ps
-    if s.imag == 0:
-        return val.real
-    return val
+    return 0.5 * (4.0 * math.pi * m.alpha) ** (-2.0 * s) / cos_ps
 
 
 def one_point_laurent(m: OnePointModel) -> LaurentData:
@@ -142,147 +140,96 @@ def one_point_laurent(m: OnePointModel) -> LaurentData:
 # continuation core
 # ----------------------------------------------------------------------
 
-def _lorentzian(alpha):
-    c2 = (4.0 * math.pi * alpha) ** 2
-    return lambda v: 4.0 * alpha / (c2 + v * v)
+def _head(e, s, spec):
+    """zeta0 = int_0^1 v^(-2s) e(v) dv.
 
-
-def _power_parts(s):
-    """Real and imaginary integrand factors of v^(-2s)."""
-    s = complex(s)
-    sr, si = s.real, s.imag
-    if si == 0.0:
-        return (lambda v: v ** (-2.0 * sr)), None
-    def re_part(v):
-        return v ** (-2.0 * sr) * math.cos(2.0 * si * math.log(v))
-    def im_part(v):
-        return -v ** (-2.0 * sr) * math.sin(2.0 * si * math.log(v))
-    return re_part, im_part
-
-
-def _zeta_head(e, s, spec):
-    """int_0^1 v^(-2s) e(v) dv.
-
-    For Re s > 0 the integrable endpoint singularity is removed by the
-    substitution v = u^q with q = 1/(1 - 2 Re s).
+    For s > 0.05 the integrable endpoint singularity is removed by the
+    substitution v = u^q with q = 1/(1 - 2s).
     """
-    spec = spec or TIGHT
-    s = complex(s)
-    sr, si = s.real, s.imag
-    if sr >= 0.5:
-        raise ContinuationRequiredError(f"head integral diverges at s={s}")
+    if s > 0.05:
+        q = 1.0 / (1.0 - 2.0 * s)
 
-    def one_part(imag):
-        if sr > 0.05:
-            q = 1.0 / (1.0 - 2.0 * sr)
-
-            def f(u):
-                v = u ** q
-                base = q * e.eval(v)
-                if si == 0.0:
-                    return base
-                phase = 2.0 * si * q * math.log(u)
-                return base * (-math.sin(phase) if imag else math.cos(phase))
-        else:
-            rp, ip = _power_parts(s)
-            power = ip if imag else rp
-
-            def f(v):
-                if v == 0.0:
-                    return 0.0
-                return power(v) * e.eval(v)
-        res = integrate_finite(f, 0.0, 1.0, spec)
-        return require_converged(res, f"zeta head at s={s}")
-
-    real = one_part(False)
-    if si == 0.0:
-        return real
-    return complex(real, one_part(True))
-
-
-def _integral_tail(g, s, spec, oscillation_period=None):
-    """int_1^inf v^(-2s) g(v) dv, handling complex s by two real passes.
-
-    spec may be None; smooth tails then run at the tight default,
-    oscillatory ones at the accelerator default.
-    """
-    s = complex(s)
-    rp, ip = _power_parts(s)
-    if oscillation_period is not None:
-        spec = replace(spec or _OSC, oscillation_period=oscillation_period)
+        def f(u):
+            return q * e.eval(u ** q)
     else:
-        spec = spec or TIGHT
-
-    def run(power):
-        f = lambda v: power(v) * g(v)
-        res = integrate_to_infinity(f, 1.0, spec)
-        return require_converged(res, f"zeta tail at s={s}")
-
-    real = run(rp)
-    if ip is None:
-        return real
-    return complex(real, run(ip))
+        def f(v):
+            if v == 0.0:
+                return 0.0
+            return v ** (-2.0 * s) * e.eval(v)
+    res = integrate_finite(f, 0.0, 1.0, spec or TIGHT)
+    return require_converged(res, f"zeta0 (head integral) at s={s:g}")
 
 
 def _lorentzian_tail(alpha, s, spec):
-    """int_1^inf v^(-2s) (e1(alpha; v) - 4 alpha / v^2) dv (smooth)."""
-    c2 = (4.0 * math.pi * alpha) ** 2
+    """int_1^inf v^(-2s) (e1(alpha; v) - 4 alpha / v^2) dv (smooth).
 
-    def g(v):
+    At s = -1/2 it is -2 alpha log(1 + (4 pi alpha)^2) in closed form.
+    """
+    c2 = (4.0 * math.pi * alpha) ** 2
+    if s == -0.5:
+        return -2.0 * alpha * math.log1p(c2)
+
+    def f(v):
         v2 = v * v
-        return -4.0 * alpha * c2 / (v2 * (c2 + v2))
+        return v ** (-2.0 * s) * (-4.0 * alpha * c2 / (v2 * (c2 + v2)))
 
-    return _integral_tail(g, s, spec)
+    res = integrate_to_infinity(f, 1.0, spec or TIGHT)
+    return require_converged(res, f"Lorentzian tail at s={s:g}")
 
 
-def _lorentzian_tail_at_half(alpha):
-    """The s = -1/2 value of the Lorentzian tail in closed form."""
-    c2 = (4.0 * math.pi * alpha) ** 2
-    return -2.0 * alpha * math.log1p(c2)
+def _interaction_tail(e, s, spec):
+    """zA = int_1^inf v^(-2s) h2(v) dv for a two-point measure e.
+
+    h2 = e - e1(alpha0) - e1(alpha1) keeps the cos(2av) v^-2 tail, which
+    the engine sums by half-period panels.
+    """
+    m = e.model
+    c0 = (4.0 * math.pi * m.alpha0) ** 2
+    c1 = (4.0 * math.pi * m.alpha1) ** 2
+
+    def f(v):
+        v2 = v * v
+        h2 = e.eval(v) - 4.0 * m.alpha0 / (c0 + v2) \
+            - 4.0 * m.alpha1 / (c1 + v2)
+        return v ** (-2.0 * s) * h2
+
+    osc_spec = replace(spec or _OSC, oscillation_period=e.oscillation_period)
+    res = integrate_to_infinity(f, 1.0, osc_spec)
+    return require_converged(res, f"zA (interaction tail) at s={s:g}")
 
 
 def _continued_zeta(e: SpectralMeasure, s, spec=None):
-    """Analytic continuation of the zeta integral near and inside the strip.
+    """Analytic continuation of the zeta integral to real s in (-0.75, 0.5).
 
-    Valid for Re s in (-0.75, 0.5) excluding the pole at s = -1/2, which is
-    carried by the explicit 4 alpha_j/(2s+1) terms.
+    The pole at s = -1/2 is carried by the explicit 4 alpha_j/(2s+1) terms,
+    so s = -1/2 itself is excluded.
     """
-    s = complex(s)
     if e.is_zero:
-        return 0.0 if s.imag == 0 else 0.0 + 0.0j
-    if not -0.75 < s.real < 0.5:
+        return 0.0
+    if not -0.75 < s < 0.5:
         raise ContinuationRequiredError(
-            f"continuation implemented for -0.75 < Re s < 0.5, got {s}")
+            f"continuation implemented for -0.75 < s < 0.5, got {s}")
     if s == -0.5:
         raise ZetaPoleError("zeta(s) has a simple pole at s = -1/2; "
                             "use the Laurent data instead")
 
-    total = _zeta_head(e, s, spec)
-    model = e.model
-    if isinstance(model, OnePointModel):
-        alphas = (model.alpha,)
-    else:
-        alphas = (model.alpha0, model.alpha1)
-    for a in alphas:
+    m = e.model
+    one_point = isinstance(m, OnePointModel)
+    total = _head(e, s, spec)
+    for a in (m.alpha,) if one_point else (m.alpha0, m.alpha1):
         total += _lorentzian_tail(a, s, spec) + 4.0 * a / (2.0 * s + 1.0)
-    if isinstance(model, TwoPointModel):
-        lorentzians = [_lorentzian(a) for a in alphas]
-
-        def h2(v):
-            return e.eval(v) - sum(l(v) for l in lorentzians)
-        total += _integral_tail(h2, s, spec,
-                                oscillation_period=e.oscillation_period)
-    return total if s.imag != 0 else complex(total).real
+    if not one_point:
+        total += _interaction_tail(e, s, spec)
+    return total
 
 
 def relative_zeta_in_strip(e: SpectralMeasure, s, spec=None):
-    """zeta(s) = int_0^inf v^(-2s) e(v) dv for s inside the strip.
+    """zeta(s) = int_0^inf v^(-2s) e(v) dv for real s inside the strip.
 
-    Real s gives an exactly real result (all quadratures run on real
-    integrands).  Outside the strip a ContinuationRequiredError is raised;
-    the Laurent data functions handle s = -1/2.
+    Outside the strip a ContinuationRequiredError is raised; the Laurent
+    data functions handle s = -1/2.  Complex s raises TypeError.
     """
-    if not -0.5 < complex(s).real < 0.5:
+    if not -0.5 < s < 0.5:
         raise ContinuationRequiredError(
             f"s = {s} outside convergence strip "
             "(-0.5, 0.5); use the continuation/Laurent API")
@@ -294,43 +241,30 @@ def two_point_laurent_parts(m: TwoPointModel, spec=None):
 
     Returns a dict with zeta0 (head integral), z_a (subtracted tail
     integral), ci_term (2 Ci(2a)/(pi a), the closed finite part of the
-    oscillatory tail), residue and finite_part.
+    oscillatory tail), residue and finite_part.  The finite part is zeta0
+    plus the Lorentzian and interaction tails; ci_term is split out of
+    z_a for reporting only.
     """
     e = two_point_spectral_measure(m)
-    head_res = integrate_finite(lambda v: v * e.eval(v), 0.0, 1.0,
-                                spec or TIGHT)
-    zeta0 = require_converged(head_res, "zeta0 (head integral)")
-
-    lor0 = _lorentzian(m.alpha0)
-    lor1 = _lorentzian(m.alpha1)
-
-    def vh2(v):
-        return v * (e.eval(v) - lor0(v) - lor1(v))
-
-    osc_spec = replace(spec or _OSC, oscillation_period=e.oscillation_period)
-    tail_res = integrate_to_infinity(vh2, 1.0, osc_spec)
-    interaction = require_converged(tail_res, "zA (interaction tail)")
-
-    closed = (_lorentzian_tail_at_half(m.alpha0)
-              + _lorentzian_tail_at_half(m.alpha1))
+    zeta0 = _head(e, -0.5, spec)
+    tails = (_lorentzian_tail(m.alpha0, -0.5, spec)
+             + _lorentzian_tail(m.alpha1, -0.5, spec)
+             + _interaction_tail(e, -0.5, spec))
     ci_term = 2.0 * cosine_integral(2.0 * m.a) / (math.pi * m.a)
-    z_a = closed + interaction - ci_term
-    residue = 2.0 * (m.alpha0 + m.alpha1)
-    finite = zeta0 + z_a + ci_term
     return {
         "zeta0": zeta0,
-        "z_a": z_a,
+        "z_a": tails - ci_term,
         "ci_term": ci_term,
-        "residue": residue,
-        "finite_part": finite,
+        "residue": 2.0 * (m.alpha0 + m.alpha1),
+        "finite_part": zeta0 + tails,
     }
 
 
 def two_point_laurent(m: TwoPointModel, spec=None) -> LaurentData:
     """Laurent data of the two-point zeta at s = -1/2.
 
-    The residue 2 (alpha0 + alpha1) is exact; the finite part combines the
-    head integral, the subtracted tail and the closed cosine-integral term.
+    The residue 2 (alpha0 + alpha1) is exact; the finite part is the head
+    integral plus the Lorentzian and interaction tails.
     """
     parts = two_point_laurent_parts(m, spec)
     return LaurentData(parts["residue"], parts["finite_part"])

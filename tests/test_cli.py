@@ -225,6 +225,28 @@ def test_config_file_invalid(tmp_path, capsys):
     assert "config" in err
 
 
+@pytest.mark.parametrize("command, values", [
+    ("spectral-measure", {"alpha": "0.25"}),
+    ("spectral-measure", {"alpha": True}),
+    ("spectral-measure", {"alpha": None}),
+    ("spectral-measure", {"alpha": 0.25, "samples": 2.7}),
+    ("spectral-measure", {"alpha": 0.25, "format": 1}),
+    ("spectral-measure", {"alpha": 0.25, "format": "xml"}),
+    ("heat-trace", {"alpha": 0.25, "log_spacing": "no"}),
+    ("zeta", {"alpha": 0.25, "laurent": 1}),
+    ("casimir", {"model": "two-point", "alpha0": 1, "alpha1": 1,
+                 "steps": 4.0}),
+])
+def test_config_value_of_wrong_type(tmp_path, capsys, command, values):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config key") and err.count("\n") == 1
+    assert repr(list(values)[-1]) in err
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract
 # ---------------------------------------------------------------------------
@@ -270,6 +292,8 @@ _CASIMIR = ("casimir", "--model", "two-point", "--alpha0", "1",
     ("heat-trace", "--alpha", "1", "--t-max", "inf"),
     ("eta", "--alpha", "1", "--tau-max", "inf"),
     _CASIMIR + ("--a-min", "1", "--a-max", "inf"),
+    ("heat-trace", "--alpha", "1", "--abs-tol", "inf"),
+    ("heat-trace", "--alpha", "1", "--rel-tol", "inf"),
 ])
 def test_exit_2_on_bad_numeric_flags(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -1,7 +1,8 @@
-"""Source hygiene: no module or script imports a name it never uses.
+"""Source hygiene: no module or script imports a name it never uses, and
+no private module-level helper of the package is left without a reader.
 
-relspec/__init__.py is exempt, since its imports are the package's public
-re-exports.
+relspec/__init__.py is exempt from the import scan, since its imports are
+the package's public re-exports.
 """
 
 import ast
@@ -10,9 +11,9 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "relspec").glob("*.py"))
 SOURCES = sorted(
-    [p for p in (ROOT / "src" / "relspec").glob("*.py")
-     if p.name != "__init__.py"]
+    [p for p in PACKAGE if p.name != "__init__.py"]
     + list((ROOT / "scripts").glob("*.py")))
 
 
@@ -39,3 +40,53 @@ def test_scan_finds_an_unused_import():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(modules, readers):
+    """Private module-level functions, classes and constants of modules
+    (name -> source) that no source in readers reads.
+
+    A name counts as read when it is loaded, taken as an attribute or
+    imported by name; the tests are not readers.
+    """
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    dead = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [(module, node.lineno, name) for name in names
+                     if name.startswith("_") and not name.startswith("__")
+                     and name not in read]
+    return sorted(dead)
+
+
+def test_scan_finds_a_dead_private_helper():
+    source = ("_LIMIT = 3\n_UNREAD = 4\n"
+              "def _used():\n    return _LIMIT\n"
+              "def _dead():\n    pass\n"
+              "class _Orphan:\n    pass\n"
+              "def public():\n    return _used()\n")
+    assert dead_private_names({"m.py": source}, [source]) == [
+        ("m.py", 2, "_UNREAD"), ("m.py", 5, "_dead"), ("m.py", 7, "_Orphan")]
+
+
+def test_no_dead_private_helpers():
+    modules = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+               for p in PACKAGE}
+    readers = list(modules.values()) + [
+        p.read_text(encoding="utf-8") for p in (ROOT / "scripts").glob("*.py")]
+    assert dead_private_names(modules, readers) == []

@@ -59,7 +59,7 @@ def test_integrand_error_carries_abscissa():
 
 
 def test_non_convergence_is_flagged_not_raised():
-    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=40)
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
     r = integrate_finite(lambda v: math.exp(-v) * math.sin(7 * v), 0.0, 5.0,
                          spec)
     assert not r.converged
@@ -74,19 +74,13 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=0)
+        QuadratureSpec(abs_tol=math.inf)
     with pytest.raises(ValueError):
-        QuadratureSpec(split_points=(2.0, 1.0))
+        QuadratureSpec(rel_tol=math.inf)
+    with pytest.raises(ValueError):
+        QuadratureSpec(rel_tol=math.nan)
     with pytest.raises(ValueError):
         QuadratureSpec(oscillation_period=-1.0)
-
-
-def test_split_point_insensitivity():
-    base = integrate_finite(lambda v: math.exp(-v), 0.0, 10.0, TIGHT)
-    spec = QuadratureSpec(abs_tol=TIGHT.abs_tol, rel_tol=TIGHT.rel_tol,
-                          split_points=(1.0, 2.0, 3.5, 7.0))
-    split = integrate_finite(lambda v: math.exp(-v), 0.0, 10.0, spec)
-    assert abs(base.value - split.value) < 10.0 * TIGHT.abs_tol
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +128,6 @@ def test_additivity_spectral_measure():
                     + tail.error_estimate)
     assert abs(whole.value - (head.value + tail.value)) <= max(
         combined_err, 1e-12)
-
-
-def test_split_points_carried_through_map():
-    e = one_point_spectral_measure(OnePointModel(0.25))
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11,
-                          split_points=(0.5, 2.0, 8.0))
-    r = integrate_to_infinity(e.eval, 0.0, spec)
-    assert r.converged
-    assert r.value == pytest.approx(0.5, abs=1e-10)
 
 
 def test_result_reports_evaluations():
