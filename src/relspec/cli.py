@@ -414,7 +414,9 @@ def cmd_casimir(cfg: RunConfig):
     steps = cfg.extra["steps"]
     if not (0 < a_min < a_max):
         raise CliValidationError("need 0 < a-min < a-max")
-    grid = _grid(a_min, a_max, max(steps, 2))
+    if steps < 2:
+        raise CliValidationError("steps must be >= 2")
+    grid = _grid(a_min, a_max, steps)
 
     def row(a):
         try:

@@ -12,7 +12,9 @@ Two entry points:
   ``QuadratureSpec.oscillation_period``; the engine then sums half-period
   panels, whose contributions alternate in sign, and accelerates the partial
   sums with Wynn's epsilon algorithm.  The variable change is useless there
-  because it destroys the periodicity the accelerator relies on.
+  because it destroys the periodicity the accelerator relies on.  The
+  epsilon table is kept as one last diagonal, updated once per panel; the
+  50-wide and the half window read prefixes of it, at O(window) cost.
 
 Non-convergence is reported through the ``converged`` flag on the result,
 never by raising: parameter sweeps must survive a single hard point.  Callers
@@ -224,33 +226,48 @@ def integrate_to_infinity(f, lo, spec: QuadratureSpec | None = None):
     return _adaptive(mapped, 0.0, 1.0, spec, budget=2000)
 
 
-def _wynn_epsilon(partial_sums):
-    """Limit estimate for a sequence of partial sums via Wynn's epsilon.
+class _EpsilonDiagonal:
+    """Last diagonal of Wynn's epsilon table over the latest depth sums.
 
-    Returns (estimate, error_estimate); the error is the spread of the last
-    two even-column diagonal entries.
+    Entry k is epsilon_k of the last k + 1 sums, so the table of any window
+    of the latest sums ends in a prefix of it.  A zero or non-finite
+    difference ends a column: the diagonal is cut there, and the failed
+    entry's (start index, column) caps the depth of every window holding it.
     """
-    prev = [0.0] * (len(partial_sums) + 1)
-    cur = list(partial_sums)
-    history = [cur[-1]]
-    col = 0
-    while len(cur) >= 2:
-        nxt = []
-        for i in range(len(cur) - 1):
-            d = cur[i + 1] - cur[i]
+
+    __slots__ = ("depth", "diag", "count", "cuts")
+
+    def __init__(self, depth):
+        self.depth = depth
+        self.diag = []
+        self.count = 0
+        self.cuts = []
+
+    def push(self, s):
+        old, new, below = self.diag, [s], 0.0
+        for k in range(min(len(old), self.depth - 1)):
+            d = new[k] - old[k]
             if d == 0.0 or not math.isfinite(d):
-                nxt = None
+                self.cuts.append((self.count - k - 1, k + 1))
                 break
-            nxt.append(prev[i + 1] + 1.0 / d)
-        if not nxt:
-            break
-        prev, cur = cur, nxt
-        col += 1
-        if col % 2 == 0 and math.isfinite(cur[-1]):
-            history.append(cur[-1])
-    if len(history) >= 2:
-        return history[-1], abs(history[-1] - history[-2])
-    return history[0], math.inf
+            new.append(below + 1.0 / d)
+            below = old[k]
+        self.diag = new
+        self.count += 1
+        self.cuts = [c for c in self.cuts if c[0] >= self.count - self.depth]
+
+    def estimate(self, width):
+        """(estimate, error) of the last width sums: the last finite
+        even-column entry and its distance to the one before."""
+        last = width - 1
+        for start, col in self.cuts:
+            if start >= self.count - width:
+                last = min(last, col - 1)
+        history = [self.diag[0]] + [x for x in self.diag[2:last + 1:2]
+                                    if math.isfinite(x)]
+        if len(history) >= 2:
+            return history[-1], abs(history[-1] - history[-2])
+        return history[0], math.inf
 
 
 def _oscillatory_tail(f, lo, spec):
@@ -265,8 +282,8 @@ def _oscillatory_tail(f, lo, spec):
     counter = _EvalCounter(f)
     panel_spec = QuadratureSpec(abs_tol=max(spec.abs_tol / 50.0, 1e-15),
                                 rel_tol=min(spec.rel_tol, 1e-10))
-    sums = []
-    total = 0.0
+    eps = _EpsilonDiagonal(50)
+    total = previous = 0.0
     best = 0.0
     best_err = math.inf
     quiet = 0
@@ -274,8 +291,8 @@ def _oscillatory_tail(f, lo, spec):
         a = lo + j * half
         b = a + half
         r = _adaptive(counter, a, b, panel_spec, budget=60)
-        total += r.value
-        sums.append(total)
+        previous, total = total, total + r.value
+        eps.push(total)
         # fast-decaying envelopes need no acceleration: stop on tiny panels
         if abs(r.value) < 0.1 * spec.abs_tol:
             quiet += 1
@@ -285,17 +302,17 @@ def _oscillatory_tail(f, lo, spec):
         else:
             quiet = 0
         if j >= 7:
-            window = sums[-50:] if len(sums) > 50 else sums
-            est, eps_err = _wynn_epsilon(window)
+            width = min(j + 1, eps.depth)
+            est, eps_err = eps.estimate(width)
             # the epsilon-table spread alone is overconfident; re-estimate
             # on a half window and treat the drift as systematic error
-            est_half, _ = _wynn_epsilon(window[len(window) // 2:])
+            est_half, _ = eps.estimate(width - width // 2)
             err = 2.0 * max(eps_err, abs(est - est_half))
             if math.isfinite(est) and err < best_err:
                 best, best_err = est, err
             if best_err <= spec.tolerance_for(best):
                 return QuadratureResult(best, best_err, counter.count, True)
     if best_err is math.inf:
-        best, best_err = total, abs(total - (sums[-2] if len(sums) > 1 else 0.0))
+        best, best_err = total, abs(total - previous)
     converged = best_err <= spec.tolerance_for(best)
     return QuadratureResult(best, best_err, counter.count, converged)

@@ -294,6 +294,8 @@ _CASIMIR = ("casimir", "--model", "two-point", "--alpha0", "1",
     _CASIMIR + ("--a-min", "1", "--a-max", "inf"),
     ("heat-trace", "--alpha", "1", "--abs-tol", "inf"),
     ("heat-trace", "--alpha", "1", "--rel-tol", "inf"),
+    _CASIMIR + ("--steps", "0"),
+    _CASIMIR + ("--steps", "1"),
 ])
 def test_exit_2_on_bad_numeric_flags(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
