@@ -5,10 +5,14 @@ Every [frozen] numeric literal asserted in tests/ comes from this script
 Run it after any change to the reference definitions and compare.
 
     python scripts/derive_reference_values.py
+
+The two-point zeta, finite-part and log eta rows integrate the real-axis
+measure e(v), so they stay independent of the library's imaginary-axis
+route; the script takes about fifteen minutes on one core.
 """
 
-from mpmath import (ci, erfc, exp, inf, loggamma, log, mp, mpc, mpf, pi,
-                    quad, quadosc, re, si, sqrt)
+from mpmath import (ceil, ci, cos, erfc, exp, inf, loggamma, log, mp, mpc,
+                    mpf, pi, quad, quadosc, re, si, sqrt)
 
 mp.dps = 30
 
@@ -26,6 +30,44 @@ def e_two(alpha0, alpha1, a):
 def e_one(alpha):
     c = 4 * pi * alpha
     return lambda v: 4 * alpha / (c * c + v * v)
+
+
+def h2_two(alpha0, alpha1, a):
+    """Interaction remainder e - e1(alpha0) - e1(alpha1) of the measure."""
+    f2, l0, l1 = e_two(alpha0, alpha1, a), e_one(alpha0), e_one(alpha1)
+    return lambda v: f2(v) - l0(v) - l1(v)
+
+
+def real_axis_zeta(alpha0, alpha1, a, s):
+    """Closed one-point zetas plus int_0^inf v^(-2s) h2 dv on the real
+    axis; the oscillatory tail past v = 1 goes to quadosc."""
+    h2 = h2_two(alpha0, alpha1, a)
+    ones = sum(0.5 * (4 * pi * alpha) ** (-2 * s) / cos(pi * s)
+               for alpha in (alpha0, alpha1))
+    head = quad(lambda v: v ** (-2 * s) * h2(v), [0, 1])
+    tail = quadosc(lambda v: v ** (-2 * s) * h2(v), [1, inf], period=pi / a)
+    return ones + head + tail
+
+
+def real_axis_finite_part(alpha0, alpha1, a):
+    """R0: head int_0^1 v e dv, closed Lorentzian tails and the
+    oscillatory int_1^inf v h2 dv."""
+    f2, h2 = e_two(alpha0, alpha1, a), h2_two(alpha0, alpha1, a)
+    zeta0 = quad(lambda v: v * f2(v), [0, 1])
+    closed = sum(-2 * alpha * log(1 + (4 * pi * alpha) ** 2)
+                 for alpha in (alpha0, alpha1))
+    return zeta0 + closed + quadosc(lambda v: v * h2(v), [1, inf],
+                                    period=pi / a)
+
+
+def real_axis_log_eta(alpha0, alpha1, a, beta):
+    """int_0^inf log(1 - exp(-beta v)) e(v) dv, cut at beta v = 80, in
+    panels of about one period pi/a."""
+    f2 = e_two(alpha0, alpha1, a)
+    top = 80 / beta
+    panels = int(ceil(top * a / pi))
+    points = [0] + [top * k / panels for k in range(1, panels + 1)]
+    return quad(lambda v: log(1 - exp(-beta * v)) * f2(v), points)
 
 
 def casimir_force(alpha0, alpha1, a):
@@ -99,6 +141,24 @@ def main():
     print("two-point log Z(beta=5)    =",
           5 * (log(2) - 1) * 4 - mpf(5) / 2 * finite - log_eta_two)
     print("one-point Laurent finite, alpha=1 =", -4 * log(4 * pi))
+
+    print("# two-point references on the real axis; log Z at ell = 1")
+    for point in (("1", "1", "1"), ("0.3", "3", "2"), ("1", "1", "7"),
+                  ("0.25", "1e4", "1"), ("0.3", "3", "0.168")):
+        alpha0, alpha1, a = (mpf(x) for x in point)
+        label = ", ".join(point)
+        for s in ("-0.4125", "0.01", "0.3"):
+            print(f"zeta({label}; s = {s}) =",
+                  real_axis_zeta(alpha0, alpha1, a, mpf(s)))
+        finite = real_axis_finite_part(alpha0, alpha1, a)
+        print(f"R0({label}) =", finite)
+        for beta in ("0.5", "5", "200"):
+            beta = mpf(beta)
+            eta = real_axis_log_eta(alpha0, alpha1, a, beta)
+            print(f"log eta({label}; beta = {beta}) =", eta)
+            print(f"log Z({label}; beta = {beta}) =",
+                  beta * (log(2) - 1) * 2 * (alpha0 + alpha1)
+                  - beta / 2 * finite - eta)
 
     print("# Casimir force, a_edge = 1/(2 pi sqrt(alpha0 alpha1))")
     for alpha0, alpha1 in ((1, 1), (mpf("0.3"), 3)):

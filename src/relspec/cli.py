@@ -30,7 +30,8 @@ from .models import (BoundStateRegimeError, OnePointModel, TwoPointModel,
 from .quad import TIGHT, NonConvergenceError, QuadratureSpec
 from .thermo import (ThermalState, casimir_force, log_eta,
                      one_point_log_eta_closed, one_point_log_z_closed,
-                     one_point_partition, two_point_partition)
+                     one_point_partition, two_point_log_eta,
+                     two_point_partition)
 from .verify import run_all
 from .zetareg import (ContinuationRequiredError, ZetaPoleError,
                       one_point_heat_trace_closed, one_point_laurent,
@@ -349,21 +350,30 @@ def cmd_zeta(cfg: RunConfig):
     return 0
 
 
+def _log_eta_of(model, spec):
+    """tau -> log eta: the quadrature for one point, the Matsubara sum for
+    two points."""
+    if isinstance(model, OnePointModel):
+        e = spectral_measure(model)
+        return lambda tau: log_eta(e, tau, spec)
+    return lambda tau: two_point_log_eta(model, tau, spec)
+
+
 def cmd_eta(cfg: RunConfig):
     model = cfg.build_model()
     spec = cfg.quadrature_spec()
-    e = spectral_measure(model)
+    eta = _log_eta_of(model, spec)
     tau_min, tau_max = _positive_bounds(cfg, "tau")
     grid = _grid(tau_min, tau_max, cfg.extra["samples"])
     if isinstance(model, OnePointModel) and model.alpha > 0:
         def row(tau):
-            q = log_eta(e, tau, spec)
+            q = eta(tau)
             c = one_point_log_eta_closed(model, tau)
             return (tau, q, c, abs(q - c))
         columns = ("tau", "log_eta", "closed_form", "abs_diff")
     else:
         def row(tau):
-            return (tau, log_eta(e, tau, spec))
+            return (tau, eta(tau))
         columns = ("tau", "log_eta")
     rows = [row(tau) for tau in grid]
     emit(cfg, columns, rows, meta={"model": model.describe()})
@@ -384,9 +394,8 @@ def cmd_partition(cfg: RunConfig):
     # low-temperature slope annotation: -d(log Z)/dbeta at beta = 30 as a
     # difference over [29.5, 30.5]; the Laurent terms of log Z are linear in
     # beta, so only log eta needs evaluating again
-    e = spectral_measure(model)
-    slope = (report.vacuum_energy + log_eta(e, 30.5, spec)
-             - log_eta(e, 29.5, spec))
+    eta = _log_eta_of(model, spec)
+    slope = report.vacuum_energy + eta(30.5) - eta(29.5)
     columns = ("model", "beta", "ell", "log_z", "vacuum_energy", "eta_log",
                "residue", "finite_part", "explicit_check",
                "slope_beta30", "slope_vs_evac")

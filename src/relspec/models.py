@@ -19,6 +19,12 @@ keeps e real by construction.
 A SpectralMeasure is the pair (eval, model).  Its asymptotics are not stored
 separately: they follow from the model, and the builders' docstrings state
 them.
+
+On the imaginary axis k = i xi the two-center determinant has no zeros and
+no oscillation; two_point_interaction gives its interaction factor, from
+which the production two-point zeta function, Laurent data, log eta and
+Casimir force are built.  e(v) is the boundary value of the same resolvent
+and serves the real-axis cross-checks.
 """
 
 import cmath
@@ -171,6 +177,37 @@ def two_point_resolvent_trace(m: TwoPointModel, k):
     if den == 0:
         raise SingularPointError(f"resolvent trace singular at k = {k!r}")
     return (a * a / ika) * num / den
+
+
+def two_point_interaction(m: TwoPointModel):
+    """Interaction factor of the two-center determinant on the imaginary axis.
+
+    At k = i xi the denominator of two_point_resolvent_trace factorizes as
+
+        D(i xi) = (c0 + x)(c1 + x)(1 - g(x)),   x = xi a,
+        g(x) = exp(-2x) / ((c0 + x)(c1 + x)),   c_j = 4 pi alpha_j a,
+
+    and r(i xi) = -(1/(2 xi)) d/dxi log D(i xi).  The two linear factors
+    are the one-center determinants; log(1 - g) is the interaction.  In the
+    admissible region c0 c1 >= 4, so 0 < g <= 1/4 and 1 - g never
+    vanishes; every term decays like exp(-2x).
+
+    Returns the functions (g, log(1 - g), d/dx log(1 - g)) of x >= 0.
+    """
+    c0 = 4.0 * math.pi * m.alpha0 * m.a
+    c1 = 4.0 * math.pi * m.alpha1 * m.a
+
+    def g(x):
+        return math.exp(-2.0 * x) / ((c0 + x) * (c1 + x))
+
+    def log_factor(x):
+        return math.log1p(-g(x))
+
+    def dlog(x):
+        gx = g(x)
+        return gx * (2.0 + 1.0 / (c0 + x) + 1.0 / (c1 + x)) / (1.0 - gx)
+
+    return g, log_factor, dlog
 
 
 def one_point_spectral_measure(m: OnePointModel) -> SpectralMeasure:

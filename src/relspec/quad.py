@@ -64,14 +64,19 @@ class NonConvergenceError(RuntimeError):
                                f"error_estimate={result.error_estimate!r}")
 
 
+# Largest accepted tolerance; every internal spec is at most 2e-9.
+MAX_TOL = 1e-3
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances of a quadrature call, and the integrand's period.
 
     A result converges when its error estimate is at most
-    max(abs_tol, rel_tol |value|); both tolerances must be finite and
-    positive.  oscillation_period, when set, is the period of the
-    trigonometric factor of the integrand and switches
+    max(abs_tol, rel_tol |value|); both tolerances must be positive and at
+    most MAX_TOL, above which a "converged" result would be too rough to
+    print without an error bar.  oscillation_period, when set, is the
+    period of the trigonometric factor of the integrand and switches
     integrate_to_infinity into panel-summation mode.
     """
 
@@ -80,9 +85,9 @@ class QuadratureSpec:
     oscillation_period: float | None = None
 
     def __post_init__(self):
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
-            raise ValueError("tolerances must be finite and strictly "
-                             "positive")
+        if not (0 < self.abs_tol <= MAX_TOL and 0 < self.rel_tol <= MAX_TOL):
+            raise ValueError(f"tolerances must be positive and at most "
+                             f"{MAX_TOL:g}")
         if self.oscillation_period is not None and self.oscillation_period <= 0:
             raise ValueError("oscillation_period must be positive")
 

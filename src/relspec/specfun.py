@@ -1,9 +1,8 @@
 """Special functions used throughout the package.
 
-The closed forms of this package need three classical special functions:
-log Gamma (the closed-form eta function and log Z), the scaled
-complementary error function (heat traces) and the cosine integral (finite
-part of the oscillatory zeta tail).
+The closed forms of this package need two classical special functions: the
+scaled complementary error function (heat traces) and the cosine integral
+(finite part of the oscillatory zeta tail).
 
 All functions here are pure and thread safe.  The evaluations are
 delegated to scipy.special, which meets the accuracy targets with large
@@ -14,18 +13,7 @@ series/continued-fraction oracles.
 import math
 
 from scipy.special import erfcx as _erfcx
-from scipy.special import gammaln as _gammaln
 from scipy.special import sici as _sici
-
-
-def log_gamma(x):
-    """log Gamma(x) for real x > 0.
-
-    Relative accuracy is better than 1e-12 over [1e-3, 1e6].
-    """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0:
-        raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
-    return float(_gammaln(x))
 
 
 def erfc_scaled(x):

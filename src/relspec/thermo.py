@@ -34,9 +34,21 @@ integral,
     force = -(1/(2 pi a^2)) int_0^inf g (2x + 2) / (1 - g) dx,
 
 and g(0) = 1/(c0 c1) <= 1/4 in the admissible region, so the integrand is
-regular even at the constraint edge.  The paper's real-axis Laurent route
-stays the source of E_vac and serves as the independent cross-check of
-the force in ``verify``.
+regular even at the constraint edge.
+
+On the same axis, log eta of the two-point pair is the finite-temperature
+(Matsubara) form of the determinant (Bordag, Mohideen & Mostepanenko,
+Phys. Rep. 353, 1):
+
+    log eta(beta) = log eta1(alpha0) + log eta1(alpha1)
+                    + sum'_{n>=0} log(1 - g(2 pi n a / beta)) - beta E_int,
+
+with the closed one-point forms and the n = 0 term halved; the terms fall
+like exp(-4 pi n a / beta).  In log Z the beta E_int terms cancel, so the
+two-point partition function is closed forms plus a finite sum.  The
+paper's real-axis routes, the Laurent parts (head + Lorentzian tails + Ci)
+and the quadrature log_eta, are the independent cross-checks in
+``verify``.
 """
 
 import math
@@ -46,11 +58,12 @@ from typing import Optional
 from scipy.special import exp1 as _exp1
 
 from .models import (OnePointModel, SpectralMeasure, TwoPointModel,
-                     one_point_spectral_measure, two_point_spectral_measure)
+                     one_point_spectral_measure, two_point_interaction,
+                     two_point_spectral_measure)
 from .quad import (TIGHT, integrate_finite, integrate_to_infinity,
                    require_converged)
-from .specfun import log_gamma
-from .zetareg import LaurentData, one_point_laurent, two_point_laurent_parts
+from .zetareg import (LaurentData, one_point_laurent,
+                      two_point_interaction_energy)
 
 
 @dataclass(frozen=True)
@@ -130,26 +143,42 @@ def log_eta(e: SpectralMeasure, tau, spec=None):
     return head_val + tail_val
 
 
+# B_2k / (2k (2k - 1)), k = 1..12: Stirling's series for Binet's function
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
+             1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0,
+             -3617.0 / 122400.0, 43867.0 / 244188.0, -174611.0 / 125400.0,
+             77683.0 / 5796.0, -236364091.0 / 1506960.0)
+
+
 def one_point_log_eta_closed(m: OnePointModel, tau):
-    """Closed form of log eta for the one-point pair, via log Gamma.
+    """Closed form of log eta for the one-point pair: minus Binet's function.
 
     With z = 2 alpha tau,
 
-        log eta = -( log Gamma(z) + (1/2) log z - z (log z - 1)
-                     - (1/2) log 2 pi ).
+        log eta = -mu(z),  mu(z) = log Gamma(z) - (z - 1/2) log z + z
+                                   - (1/2) log 2 pi,
 
-    The bracket is Binet's remainder in Stirling's formula, which is the
-    value of the defining integral up to sign; the overall sign here is
-    fixed by that integral (log eta < 0, decaying like -1/(12 z)).
+    Binet's remainder in Stirling's formula (log eta < 0, decaying like
+    -1/(12 z)).  The direct difference cancels O(z log z) terms, so mu is
+    summed instead: for z >= 7 as Stirling's series sum_k B_2k / (2k (2k-1)
+    z^(2k-1)) through k = 12 (DLMF 5.11.1; truncation below 2e-16
+    relative), and below 7 through the recurrence
+    mu(z) = mu(z + 1) + (z + 1/2) log(1 + 1/z) - 1.
     """
     if not m.alpha > 0:
         raise ValueError("closed eta form needs alpha > 0")
     if not tau > 0:
         raise ValueError(f"log_eta needs tau > 0, got {tau!r}")
     z = 2.0 * m.alpha * tau
-    binet = (log_gamma(z) + 0.5 * math.log(z) - z * (math.log(z) - 1.0)
-             - 0.5 * math.log(2.0 * math.pi))
-    return -binet
+    mu = 0.0
+    while z < 7.0:
+        mu += (z + 0.5) * math.log1p(1.0 / z) - 1.0
+        z += 1.0
+    w = 1.0 / (z * z)
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = series * w + c
+    return -(mu + series / z)
 
 
 def eta_series_check(e: SpectralMeasure, tau, n_max, spec=None):
@@ -246,38 +275,72 @@ def one_point_log_z_closed(m: OnePointModel, th: ThermalState):
     return scale_term - one_point_log_eta_closed(m, th.beta)
 
 
+# Beyond this many Matsubara terms log eta is taken on the real axis.
+_MAX_MATSUBARA_TERMS = 100_000
+
+
+def _two_point_log_eta(m: TwoPointModel, tau, e_int, spec):
+    # terms past x = 20 are below 5e-18 of the first:
+    # |log(1 - g(x))| <= exp(-2x) |log(1 - g(0))|
+    step = 2.0 * math.pi * m.a / tau
+    count = int(20.0 / step)
+    if count > _MAX_MATSUBARA_TERMS:
+        return log_eta(two_point_spectral_measure(m), tau, spec)
+    log_factor = two_point_interaction(m)[1]
+    matsubara = math.fsum([0.5 * log_factor(0.0)]
+                          + [log_factor(n * step)
+                             for n in range(1, count + 1)])
+    return (one_point_log_eta_closed(OnePointModel(m.alpha0), tau)
+            + one_point_log_eta_closed(OnePointModel(m.alpha1), tau)
+            + matsubara - tau * e_int)
+
+
+def two_point_log_eta(m: TwoPointModel, tau, spec=None):
+    """log eta of the two-point pair as a Matsubara sum, tau > 0.
+
+        log eta = log eta1(alpha0) + log eta1(alpha1)
+                  + sum'_{n>=0} log(1 - g(2 pi n a / tau)) - tau E_int,
+
+    with the closed one-point forms, the n = 0 term halved and E_int from
+    zetareg.two_point_interaction_energy; spec applies to E_int.  The sum
+    takes about 3 tau/a terms.  Past _MAX_MATSUBARA_TERMS of them
+    (tau > 3e4 a) the real-axis quadrature log_eta is used instead: its
+    integrand dies within v ~ 40/tau, so its cost does not grow with tau.
+    """
+    if not tau > 0:
+        raise ValueError(f"log_eta needs tau > 0, got {tau!r}")
+    return _two_point_log_eta(m, tau, two_point_interaction_energy(m, spec),
+                              spec)
+
+
 def two_point_partition(m: TwoPointModel, th: ThermalState,
                         spec=None) -> PartitionReport:
     """Partition report for the two-point pair, assembled term by term.
 
-    The five contributions (scale term, head integral, subtracted tail,
-    cosine-integral term, thermal eta) are reported in ``terms``; their sum
-    is identical to the generic Laurent assembly.
+    The four contributions (scale term, one-point finite parts, interaction
+    energy -beta E_int, thermal eta) are reported in ``terms``; log Z is
+    their sum.  On the Matsubara route the beta E_int of the interaction
+    term cancels against the one inside log eta, so log Z itself is the
+    closed one-point parts minus the Matsubara sum.
     """
-    parts = two_point_laurent_parts(m, spec)
-    e = two_point_spectral_measure(m)
-    eta_log = log_eta(e, th.beta, spec)
+    e_int = two_point_interaction_energy(m, spec)
+    eta_log = _two_point_log_eta(m, th.beta, e_int, spec)
+    singles = sum(one_point_laurent(OnePointModel(alpha)).finite_part
+                  for alpha in (m.alpha0, m.alpha1))
+    laurent = LaurentData(2.0 * (m.alpha0 + m.alpha1),
+                          singles + 2.0 * e_int)
     scale = math.log(2.0 * th.ell) - 1.0
     terms = {
-        "scale_term": th.beta * scale * parts["residue"],
-        "head_term": -0.5 * th.beta * parts["zeta0"],
-        "tail_term": -0.5 * th.beta * parts["z_a"],
-        "cosine_term": -0.5 * th.beta * parts["ci_term"],
+        "scale_term": th.beta * scale * laurent.residue,
+        "one_point_term": -0.5 * th.beta * singles,
+        "interaction_term": -th.beta * e_int,
         "eta_term": -eta_log,
     }
     log_z = sum(terms.values())
-    laurent = LaurentData(parts["residue"], parts["finite_part"])
     e_vac = -scale * laurent.residue + 0.5 * laurent.finite_part
     return PartitionReport(log_z=log_z, vacuum_energy=e_vac,
                            eta_log=eta_log, laurent=laurent,
                            model=m.describe(), terms=terms)
-
-
-def _interaction_kernel(m: TwoPointModel):
-    """g(x) = exp(-2x) / ((c0 + x)(c1 + x)) of the interaction energy."""
-    c0 = 4.0 * math.pi * m.alpha0 * m.a
-    c1 = 4.0 * math.pi * m.alpha1 * m.a
-    return lambda x: math.exp(-2.0 * x) / ((c0 + x) * (c1 + x))
 
 
 def casimir_force(m: TwoPointModel, spec=None) -> ForceEstimate:
@@ -288,7 +351,7 @@ def casimir_force(m: TwoPointModel, spec=None) -> ForceEstimate:
     the error estimate is its quadrature error scaled by 1/(2 pi a^2).
     The force depends on neither beta nor ell.
     """
-    kernel = _interaction_kernel(m)
+    kernel = two_point_interaction(m)[0]
 
     def integrand(x):
         g = kernel(x)

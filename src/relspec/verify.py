@@ -2,8 +2,9 @@
 
 Each check exercises one identity the library is built on: closed forms
 against quadrature, sum rules, Laurent probes against analytic data, the
-degeneracy limit of the two-point model, and the paper's real-axis Laurent
-route against the imaginary-axis interaction energy and force.
+degeneracy limit of the two-point model, and, for each of the two-point
+Laurent data, log eta and the Casimir force, the paper's real-axis route
+against the imaginary-axis one.
 All checks run in a fraction of a second on one core.
 """
 
@@ -85,12 +86,13 @@ def check_one_point_probe():
 
 
 def check_two_point_probe():
+    """The probe of the imaginary-axis zeta against the real-axis parts."""
     m = models.TwoPointModel(1.0, 1.0, 1.0)
     e = models.two_point_spectral_measure(m)
     probe = zetareg.numeric_laurent_probe(e)
-    exact = zetareg.two_point_laurent(m)
-    worst = max(abs(probe.residue - exact.residue),
-                abs(probe.finite_part - exact.finite_part))
+    parts = zetareg.two_point_laurent_parts(m)
+    worst = max(abs(probe.residue - parts["residue"]),
+                abs(probe.finite_part - parts["finite_part"]))
     return _check("two_point_laurent_probe", worst, 1e-4)
 
 
@@ -149,11 +151,18 @@ def check_two_point_energy_split():
     m = models.TwoPointModel(1.0, 1.0, 1.2)
     singles = sum(zetareg.one_point_laurent(models.OnePointModel(alpha))
                   .finite_part for alpha in (m.alpha0, m.alpha1))
-    split = 0.5 * (zetareg.two_point_laurent(m).finite_part - singles)
-    kernel = thermo._interaction_kernel(m)
-    res = integrate_to_infinity(lambda x: math.log1p(-kernel(x)), 0.0, TIGHT)
-    e_int = res.value / (2.0 * math.pi * m.a)
+    split = 0.5 * (zetareg.two_point_laurent_parts(m)["finite_part"]
+                   - singles)
+    e_int = zetareg.two_point_interaction_energy(m)
     return _check("two_point_energy_split", split - e_int, 1e-8)
+
+
+def check_two_point_log_eta_two_routes():
+    """Real-axis quadrature of log eta against the Matsubara sum."""
+    m = models.TwoPointModel(1.0, 1.0, 1.2)
+    real_axis = thermo.log_eta(models.two_point_spectral_measure(m), 2.0)
+    return _check("two_point_log_eta_two_routes",
+                  real_axis - thermo.two_point_log_eta(m, 2.0), 1e-8)
 
 
 def check_force_two_routes():
@@ -174,6 +183,7 @@ ALL_CHECKS = (
     check_explicit_log_z,
     check_ell_covariance,
     check_two_point_energy_split,
+    check_two_point_log_eta_two_routes,
     check_force_two_routes,
 )
 

@@ -9,29 +9,37 @@ convergent on the strip -1/2 < s < 1/2 for the models implemented here
 need the residue and finite part of the continuation at s = -1/2, where the
 v^-2 tail produces a simple pole.  Only real s is supported.
 
-One continuation core serves the strip, the numeric probe and the Laurent
-data: split at v = 1, subtract the exact Lorentzian measures of the
-individual interaction points from the tail, and carry the subtracted
-pieces in closed form.  Writing e1(alpha; v) = 4 alpha / ((4 pi alpha)^2
-+ v^2),
+One-point pair: the continuation splits at v = 1, subtracts the v^-2 tail
+of the Lorentzian measure e1(alpha; v) = 4 alpha / ((4 pi alpha)^2 + v^2)
+and carries it in closed form,
 
     zeta(s) = int_0^1 v^(-2s) e dv
-            + sum_j [ int_1^inf v^(-2s) (e1(alpha_j) - 4 alpha_j / v^2) dv
-                      + 4 alpha_j / (2s + 1) ]
-            + int_1^inf v^(-2s) h2(v) dv,
+            + int_1^inf v^(-2s) (e1 - 4 alpha / v^2) dv + 4 alpha / (2s + 1),
 
-with h2 = e - sum_j e1(alpha_j).  The pole lives entirely in the explicit
-4 alpha_j/(2s+1) terms; the h2 integral is an interaction remainder whose
-oscillatory v^-2 tail is summed by half-period panels.  At s = -1/2 the
-Lorentzian tail integrals collapse to -2 alpha_j log(1 + (4 pi alpha_j)^2),
-which reproduces the closed one-point Laurent data exactly and keeps the
-two-point evaluation well conditioned even when one coupling is huge.  The
-finite part is the head plus these tails; the closed cosine-integral term
-2 Ci(2a)/(pi a) of the h2 tail is computed only to report it separately.
+so the pole lives in the explicit 4 alpha/(2s+1) term.  These quadratures
+cross-check the closed one-point forms.
 
-The subtraction data (the couplings alpha_j and the cos(2av) period pi/a)
-come from the model.  Every SpectralMeasure carries its model, so the strip
-and the continuation need no other description of e.
+Two-point pair: on the imaginary axis the determinant of the resolvent
+trace factorizes into the two one-center factors times 1 - g(x), x = xi a
+(models.two_point_interaction).  With L = log(1 - g) and the closed
+one-point zeta1,
+
+    zeta(s) = zeta1(alpha0; s) + zeta1(alpha1; s)
+            + (sin(pi s) / pi) a^(2s) int_0^inf x^(-2s) L'(x) dx.
+
+L' decays like exp(-2x), so the interaction term is a smooth integral,
+analytic for real s < 1/2 and free of the pole: the residue is
+2 (alpha0 + alpha1), and at s = -1/2 the interaction term becomes 2 E_int,
+
+    E_int = (1/(2 pi a)) int_0^inf L(x) dx,   R0 = R0(alpha0) + R0(alpha1)
+                                                   + 2 E_int.
+
+The paper's real-axis route stays as two_point_laurent_parts, the
+independent cross-check: split at v = 1, subtract both Lorentzians from the
+tail and restore them in closed form (-2 alpha_j log(1 + (4 pi alpha_j)^2)
+at s = -1/2), and sum the oscillatory cos(2av) v^-2 tail of
+h2 = e - e1(alpha0) - e1(alpha1) by half-period panels.  The closed
+cosine-integral term 2 Ci(2a)/(pi a) of that tail is only reported.
 """
 
 import math
@@ -39,7 +47,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .models import (OnePointModel, SpectralMeasure, TwoPointModel,
-                     two_point_spectral_measure)
+                     two_point_interaction, two_point_spectral_measure)
 from .quad import (TIGHT, QuadratureSpec, integrate_finite,
                    integrate_to_infinity, require_converged)
 from .specfun import cosine_integral, erfc_scaled
@@ -140,24 +148,27 @@ def one_point_laurent(m: OnePointModel) -> LaurentData:
 # continuation core
 # ----------------------------------------------------------------------
 
-def _head(e, s, spec):
-    """zeta0 = int_0^1 v^(-2s) e(v) dv.
+def _power_head(f, s, spec, piece):
+    """int_0^1 x^(-2s) f(x) dx for f smooth on [0, 1].
 
-    For s > 0.05 the integrable endpoint singularity is removed by the
-    substitution v = u^q with q = 1/(1 - 2s).
+    The substitution x = u^q, q = 1/(1 - 2s), gives x^(-2s) dx = q du and
+    moves the endpoint power into the argument of f as u^q.  It is taken
+    when that power is the milder one, q > -2s (s > -0.309).
     """
-    if s > 0.05:
-        q = 1.0 / (1.0 - 2.0 * s)
-
-        def f(u):
-            return q * e.eval(u ** q)
+    q = 1.0 / (1.0 - 2.0 * s)
+    if q > -2.0 * s:
+        def integrand(u):
+            return q * f(u ** q)
     else:
-        def f(v):
-            if v == 0.0:
-                return 0.0
-            return v ** (-2.0 * s) * e.eval(v)
-    res = integrate_finite(f, 0.0, 1.0, spec or TIGHT)
-    return require_converged(res, f"zeta0 (head integral) at s={s:g}")
+        def integrand(x):
+            return x ** (-2.0 * s) * f(x)
+    res = integrate_finite(integrand, 0.0, 1.0, spec or TIGHT)
+    return require_converged(res, f"{piece} at s={s:g}")
+
+
+def _head(e, s, spec):
+    """zeta0 = int_0^1 v^(-2s) e(v) dv."""
+    return _power_head(e.eval, s, spec, "zeta0 (head integral)")
 
 
 def _lorentzian_tail(alpha, s, spec):
@@ -177,8 +188,8 @@ def _lorentzian_tail(alpha, s, spec):
     return require_converged(res, f"Lorentzian tail at s={s:g}")
 
 
-def _interaction_tail(e, s, spec):
-    """zA = int_1^inf v^(-2s) h2(v) dv for a two-point measure e.
+def _interaction_tail(e, spec):
+    """zA = int_1^inf v h2(v) dv, the s = -1/2 tail of a two-point measure.
 
     h2 = e - e1(alpha0) - e1(alpha1) keeps the cos(2av) v^-2 tail, which
     the engine sums by half-period panels.
@@ -191,18 +202,46 @@ def _interaction_tail(e, s, spec):
         v2 = v * v
         h2 = e.eval(v) - 4.0 * m.alpha0 / (c0 + v2) \
             - 4.0 * m.alpha1 / (c1 + v2)
-        return v ** (-2.0 * s) * h2
+        return v * h2
 
     osc_spec = replace(spec or _OSC, oscillation_period=e.oscillation_period)
     res = integrate_to_infinity(f, 1.0, osc_spec)
-    return require_converged(res, f"zA (interaction tail) at s={s:g}")
+    return require_converged(res, "zA (interaction tail) at s=-0.5")
+
+
+def _interaction_zeta(m: TwoPointModel, s, spec):
+    """zeta_int(s) = (sin pi s / pi) a^(2s) int_0^inf x^(-2s) L'(x) dx,
+
+    L = log(1 - g) the interaction factor of the imaginary-axis
+    determinant; split at x = 1 into a power head and a mapped tail.
+    """
+    dlog = two_point_interaction(m)[2]
+
+    def tail(x):
+        return x ** (-2.0 * s) * dlog(x)
+
+    head = _power_head(dlog, s, spec, "zeta_int (interaction head)")
+    res = integrate_to_infinity(tail, 1.0, spec or TIGHT)
+    total = head + require_converged(
+        res, f"zeta_int (interaction tail) at s={s:g}")
+    return math.sin(math.pi * s) / math.pi * m.a ** (2.0 * s) * total
+
+
+def two_point_interaction_energy(m: TwoPointModel, spec=None):
+    """E_int = (1/(2 pi a)) int_0^inf log(1 - g(x)) dx, the a-dependent
+    part of R0/2 (one mapped quadrature on the imaginary axis)."""
+    res = integrate_to_infinity(two_point_interaction(m)[1], 0.0,
+                                spec or TIGHT)
+    return (require_converged(res, "E_int (interaction energy)")
+            / (2.0 * math.pi * m.a))
 
 
 def _continued_zeta(e: SpectralMeasure, s, spec=None):
     """Analytic continuation of the zeta integral to real s in (-0.75, 0.5).
 
-    The pole at s = -1/2 is carried by the explicit 4 alpha_j/(2s+1) terms,
-    so s = -1/2 itself is excluded.
+    The pole at s = -1/2 is carried by the explicit 4 alpha/(2s+1) term of
+    the one-point split and by the closed one-point forms of the two-point
+    one, so s = -1/2 itself is excluded.
     """
     if e.is_zero:
         return 0.0
@@ -214,13 +253,12 @@ def _continued_zeta(e: SpectralMeasure, s, spec=None):
                             "use the Laurent data instead")
 
     m = e.model
-    one_point = isinstance(m, OnePointModel)
-    total = _head(e, s, spec)
-    for a in (m.alpha,) if one_point else (m.alpha0, m.alpha1):
-        total += _lorentzian_tail(a, s, spec) + 4.0 * a / (2.0 * s + 1.0)
-    if not one_point:
-        total += _interaction_tail(e, s, spec)
-    return total
+    if isinstance(m, OnePointModel):
+        return (_head(e, s, spec) + _lorentzian_tail(m.alpha, s, spec)
+                + 4.0 * m.alpha / (2.0 * s + 1.0))
+    return (one_point_zeta_closed(OnePointModel(m.alpha0), s)
+            + one_point_zeta_closed(OnePointModel(m.alpha1), s)
+            + _interaction_zeta(m, s, spec))
 
 
 def relative_zeta_in_strip(e: SpectralMeasure, s, spec=None):
@@ -237,19 +275,20 @@ def relative_zeta_in_strip(e: SpectralMeasure, s, spec=None):
 
 
 def two_point_laurent_parts(m: TwoPointModel, spec=None):
-    """Pieces of the two-point continuation at s = -1/2.
+    """Pieces of the paper's real-axis continuation at s = -1/2.
 
     Returns a dict with zeta0 (head integral), z_a (subtracted tail
     integral), ci_term (2 Ci(2a)/(pi a), the closed finite part of the
     oscillatory tail), residue and finite_part.  The finite part is zeta0
     plus the Lorentzian and interaction tails; ci_term is split out of
-    z_a for reporting only.
+    z_a for reporting only.  This route walks the oscillatory real axis
+    and is the independent cross-check of two_point_laurent.
     """
     e = two_point_spectral_measure(m)
     zeta0 = _head(e, -0.5, spec)
     tails = (_lorentzian_tail(m.alpha0, -0.5, spec)
              + _lorentzian_tail(m.alpha1, -0.5, spec)
-             + _interaction_tail(e, -0.5, spec))
+             + _interaction_tail(e, spec))
     ci_term = 2.0 * cosine_integral(2.0 * m.a) / (math.pi * m.a)
     return {
         "zeta0": zeta0,
@@ -263,11 +302,14 @@ def two_point_laurent_parts(m: TwoPointModel, spec=None):
 def two_point_laurent(m: TwoPointModel, spec=None) -> LaurentData:
     """Laurent data of the two-point zeta at s = -1/2.
 
-    The residue 2 (alpha0 + alpha1) is exact; the finite part is the head
-    integral plus the Lorentzian and interaction tails.
+    The residue 2 (alpha0 + alpha1) is exact; the finite part is
+    R0(alpha0) + R0(alpha1) + 2 E_int, the closed one-point parts plus
+    the imaginary-axis interaction energy.
     """
-    parts = two_point_laurent_parts(m, spec)
-    return LaurentData(parts["residue"], parts["finite_part"])
+    singles = sum(one_point_laurent(OnePointModel(alpha)).finite_part
+                  for alpha in (m.alpha0, m.alpha1))
+    return LaurentData(2.0 * (m.alpha0 + m.alpha1),
+                       singles + 2.0 * two_point_interaction_energy(m, spec))
 
 
 def numeric_laurent_probe(e: SpectralMeasure, deltas=(0.04, 0.02, 0.01),

@@ -49,14 +49,17 @@ def test_zeta_laurent_one_point(capsys):
 
 
 def test_zeta_laurent_two_point(capsys):
-    code, out, _ = run_cli(capsys, "zeta", "--model", "two-point",
-                           "--alpha0", "1", "--alpha1", "1", "--a", "1",
-                           "--laurent")
-    assert code == 0
-    residue, finite = (float(x)
-                       for x in out.strip().split("\n")[1].split(","))
-    assert residue == 4.0
-    assert finite == pytest.approx(-20.249131413324218, abs=1e-6)
+    for tolerances in ((), ("--abs-tol", "1e-12", "--rel-tol", "1e-12")):
+        code, out, _ = run_cli(capsys, "zeta", "--model", "two-point",
+                               "--alpha0", "1", "--alpha1", "1", "--a", "1",
+                               "--laurent", *tolerances)
+        assert code == 0
+        residue, finite = (float(x)
+                           for x in out.strip().split("\n")[1].split(","))
+        assert residue == 4.0
+        # 30-digit reference (scripts/derive_reference_values.py)
+        assert finite == pytest.approx(-20.2491314133242184274628568759,
+                                       rel=1e-10)
 
 
 def test_zeta_table_value_at_zero(capsys):
@@ -294,6 +297,10 @@ _CASIMIR = ("casimir", "--model", "two-point", "--alpha0", "1",
     _CASIMIR + ("--a-min", "1", "--a-max", "inf"),
     ("heat-trace", "--alpha", "1", "--abs-tol", "inf"),
     ("heat-trace", "--alpha", "1", "--rel-tol", "inf"),
+    ("heat-trace", "--alpha", "1", "--abs-tol", "1e300", "--rel-tol",
+     "1e300", "--samples", "3"),
+    ("heat-trace", "--alpha", "1", "--abs-tol", "2e-3"),
+    ("zeta", "--alpha", "1", "--rel-tol", "1e300"),
     _CASIMIR + ("--steps", "0"),
     _CASIMIR + ("--steps", "1"),
 ])
@@ -303,6 +310,25 @@ def test_exit_2_on_bad_numeric_flags(capsys, argv):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+_TWO = ("--model", "two-point", "--alpha0", "0.3", "--alpha1", "3",
+        "--a", "0.5")
+
+
+def test_two_point_commands_stay_off_the_oscillatory_engine(capsys,
+                                                            monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("oscillatory real-axis tail reached")
+
+    monkeypatch.setattr("relspec.quad._oscillatory_tail", forbidden)
+    for argv in (("zeta",), ("zeta", "--laurent"),
+                 ("zeta", "--laurent", "--abs-tol", "1e-12",
+                  "--rel-tol", "1e-12"),
+                 ("eta",), ("partition", "--beta", "5")):
+        code, out, err = run_cli(capsys, *argv, *_TWO)
+        assert (code, err) == (0, ""), argv
+        assert out.count("\n") >= 2
 
 
 def test_exit_3_on_non_convergence(capsys):

@@ -7,6 +7,7 @@ from relspec.models import (BoundStateRegimeError, OnePointModel,
                             SpectralMeasure, TwoPointModel, WrongSheetError,
                             one_point_resolvent_trace,
                             one_point_spectral_measure,
+                            two_point_interaction,
                             two_point_resolvent_trace,
                             two_point_spectral_measure, two_rim_measure)
 from relspec.quad import QuadratureSpec, integrate_to_infinity
@@ -96,6 +97,48 @@ def test_two_point_trace_swap_symmetry():
         a = two_point_resolvent_trace(TwoPointModel(0.5, 2.0, 1.3), k)
         b = two_point_resolvent_trace(TwoPointModel(2.0, 0.5, 1.3), k)
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# imaginary-axis interaction factor
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha0, alpha1, a", [
+    (1.0, 1.0, 1.0), (0.3, 3.0, 2.0), (1.0, 1.0, 7.0), (0.25, 1e4, 1.0),
+    (0.3, 3.0, 0.168)])
+def test_interaction_factor_matches_resolvent_trace(alpha0, alpha1, a):
+    # r(i xi) = -(1/(2 xi)) d/dxi log D(i xi) with
+    # D(i xi) = (c0 + x)(c1 + x)(1 - g(x)), x = xi a
+    m = TwoPointModel(alpha0, alpha1, a)
+    g, log_factor, dlog = two_point_interaction(m)
+    c0 = 4 * math.pi * alpha0 * a
+    c1 = 4 * math.pi * alpha1 * a
+    for xi in (1e-3, 0.1, 0.7, 2.0, 6.0):
+        x = xi * a
+        # D(i xi) = (c0 + x)(c1 + x) - exp(-2x)
+        assert (c0 + x) * (c1 + x) * (1 - g(x)) == pytest.approx(
+            (c0 + x) * (c1 + x) - math.exp(-2 * x), rel=1e-14)
+        # log(1 - g) is the antiderivative of the checked derivative
+        h = 1e-5 * x
+        assert (log_factor(x + h) - log_factor(x - h)) / (2 * h) \
+            == pytest.approx(dlog(x), rel=1e-6)
+        single = 1 / (c0 + x) + 1 / (c1 + x)
+        trace = two_point_resolvent_trace(m, 1j * xi)
+        assert trace.imag == pytest.approx(0.0, abs=1e-12 * abs(trace))
+        assert -(a / (2 * xi)) * (single + dlog(x)) == pytest.approx(
+            trace.real, rel=1e-12)
+        # the interaction part alone, where it is not lost in rounding
+        interaction_part = -2 * xi * trace.real / a - single
+        assert abs(interaction_part - dlog(x)) <= 1e-13 * single
+
+
+def test_interaction_factor_bounded_at_constraint_edge():
+    # g(0) = 1/(c0 c1) = 1/4 exactly at 4 pi^2 alpha0 alpha1 a^2 = 1
+    a_edge = 1.0 / (2 * math.pi)
+    g, log_factor, dlog = two_point_interaction(
+        TwoPointModel(1.0, 1.0, 1.0000001 * a_edge))
+    assert g(0.0) == pytest.approx(0.25, rel=1e-6)
+    assert math.isfinite(log_factor(0.0)) and dlog(0.0) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from relspec.models import (OnePointModel, TwoPointModel,
                             one_point_spectral_measure,
                             two_point_spectral_measure)
-from relspec.quad import (IntegrandError, NonConvergenceError, QuadratureSpec,
-                          _EpsilonDiagonal, integrate_finite,
+from relspec.quad import (MAX_TOL, IntegrandError, NonConvergenceError,
+                          QuadratureSpec, _EpsilonDiagonal, integrate_finite,
                           integrate_to_infinity, require_converged)
 from relspec.specfun import cosine_integral
 from relspec.zetareg import relative_heat_trace, two_point_laurent_parts
@@ -84,6 +84,12 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=math.inf)
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=math.nan)
+    # finite but above the documented cap
+    with pytest.raises(ValueError):
+        QuadratureSpec(abs_tol=1e300)
+    with pytest.raises(ValueError):
+        QuadratureSpec(rel_tol=2e-3)
+    assert QuadratureSpec(abs_tol=MAX_TOL, rel_tol=MAX_TOL).abs_tol == 1e-3
     with pytest.raises(ValueError):
         QuadratureSpec(oscillation_period=-1.0)
 

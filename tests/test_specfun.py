@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relspec.specfun import cosine_integral, erfc_scaled, log_gamma
+from relspec.specfun import cosine_integral, erfc_scaled
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -35,34 +35,6 @@ def erfcx_continued_fraction(x, depth=400):
     for n in range(depth, 0, -1):
         tail = (n / 2.0) / (x + tail)
     return 1.0 / (math.sqrt(math.pi) * (x + tail))
-
-
-# ---------------------------------------------------------------------------
-# log_gamma
-# ---------------------------------------------------------------------------
-
-def test_log_gamma_trivial_values():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
-
-def test_log_gamma_accuracy_against_mpmath():
-    for x in (1e-3, 0.02, 0.5, 1.7, 10.0, 123.456, 1e4, 1e6):
-        exact = float(mpmath.loggamma(x))
-        assert log_gamma(x) == pytest.approx(exact, rel=1e-12, abs=1e-12)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.floats(min_value=0.1, max_value=100.0))
-def test_log_gamma_recurrence(x):
-    assert abs(log_gamma(x + 1.0) - log_gamma(x) - math.log(x)) < 1e-11
-
-
-def test_log_gamma_domain():
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from relspec.thermo import (ForceEstimate, ThermalState, casimir_force,
                             eta_series_check, log_eta,
                             one_point_log_eta_closed, one_point_log_z_closed,
                             one_point_partition, relative_partition,
-                            two_point_partition)
+                            two_point_log_eta, two_point_partition)
 from relspec.verify import paper_route_forces
 from relspec.zetareg import LaurentData, one_point_laurent, two_point_laurent
 
@@ -60,6 +61,23 @@ def test_log_eta_closed_large_z_stirling_decay():
         tau = z / (2 * m.alpha)
         assert one_point_log_eta_closed(m, tau) == pytest.approx(
             -1.0 / (12.0 * z), rel=0.01)
+
+
+def test_log_eta_closed_against_mpmath_on_log_grid():
+    # minus Binet's function, 1e-13 relative from z = 1e-3 to 1e8, with a
+    # dense stretch around the switch to Stirling's series at z = 7; the
+    # reference cancels 18 digits at z = 1e8, hence 50-digit arithmetic
+    grid = [10.0 ** (-3 + 11 * i / 110) for i in range(111)]
+    grid += [1.0 + 9.0 * i / 300 for i in range(301)]
+    m = OnePointModel(0.5)
+    with mpmath.workdps(50):
+        for z in grid:
+            zm = mpmath.mpf(z)
+            exact = -(mpmath.loggamma(zm) + mpmath.log(zm) / 2
+                      - zm * (mpmath.log(zm) - 1)
+                      - mpmath.log(2 * mpmath.pi) / 2)
+            value = one_point_log_eta_closed(m, z)
+            assert abs(value - exact) <= 1e-13 * abs(exact), z
 
 
 def test_log_eta_closed_form_grid():
@@ -255,9 +273,72 @@ def test_two_point_partition_matches_generic_assembly():
     assert direct.log_z == pytest.approx(generic.log_z, abs=1e-8)
     assert direct.vacuum_energy == pytest.approx(generic.vacuum_energy,
                                                  abs=1e-10)
-    assert set(direct.terms) == {"scale_term", "head_term", "tail_term",
-                                 "cosine_term", "eta_term"}
+    assert set(direct.terms) == {"scale_term", "one_point_term",
+                                 "interaction_term", "eta_term"}
     assert sum(direct.terms.values()) == direct.log_z
+
+
+# 30-digit references from the real-axis measure
+# (scripts/derive_reference_values.py): (alpha0, alpha1, a, beta, log eta,
+# log Z at ell = 1); the last point is 0.3 % above the constraint edge
+_LOG_ETA_REFERENCES = [
+    (1.0, 1.0, 1.0, 0.5, -0.16506492908663807597134608049,
+     4.61364214353758330167152454238),
+    (1.0, 1.0, 1.0, 5.0, -0.017948903656038631495403218355,
+     44.5037210481654908884971878373),
+    (1.0, 1.0, 1.0, 200.0, -0.000452687718214967185720986120584,
+     1779.43133846809630524725710574),
+    (0.3, 3.0, 2.0, 0.5, -0.264590380960219448353390473326,
+     10.5390338606209122485727630776),
+    (0.3, 3.0, 2.0, 5.0, -0.0310168781862751191531642848891,
+     102.775451674793203121346890328),
+    (0.3, 3.0, 2.0, 200.0, -0.000783680435846212902086504660859,
+     4109.77817554471296630065112823),
+    (1.0, 1.0, 7.0, 0.5, -0.162186829464434402699782181699,
+     4.61053041092679830382975119119),
+    (1.0, 1.0, 7.0, 5.0, -0.0167184851079243057051482716803,
+     44.5001542997315633170048383666),
+    (1.0, 1.0, 7.0, 200.0, -0.000421442066414525135586939656479,
+     1779.33785402701197497712319074),
+    (0.25, 1e4, 1.0, 0.5, -0.272519912753742441433467009632,
+     114345.599984321853883296039689),
+    (0.25, 1e4, 1.0, 5.0, -0.0331642467229030233374925130526,
+     1143453.30780833772431156939971),
+    (0.25, 1e4, 1.0, 200.0, -0.000833366761386997346722142133629,
+     45738130.9865970068177288398356),
+    (0.3, 3.0, 0.168, 0.5, -0.369401406645444610612130848134,
+     10.6821641604438220506601986323),
+    (0.3, 3.0, 0.168, 5.0, -0.0516641775882906395986740568679,
+     103.179291715572065040079351899),
+    (0.3, 3.0, 0.168, 200.0, -0.00130967276083161486535834656638,
+     4125.10641119211180763409247203),
+]
+
+
+@pytest.mark.parametrize("alpha0, alpha1, a, beta, eta_ref, log_z_ref",
+                         _LOG_ETA_REFERENCES)
+def test_two_point_log_eta_and_log_z_frozen_references(
+        alpha0, alpha1, a, beta, eta_ref, log_z_ref):
+    m = TwoPointModel(alpha0, alpha1, a)
+    assert abs(two_point_log_eta(m, beta) - eta_ref) <= 1e-12
+    report = two_point_partition(m, ThermalState(beta))
+    assert abs(report.eta_log - eta_ref) <= 1e-12
+    # log Z reaches 5e7; 1e-12 absolute is below its rounding there
+    assert abs(report.log_z - log_z_ref) <= 1e-12 * max(1.0, abs(log_z_ref))
+
+
+def test_two_point_log_eta_at_large_tau():
+    # about 3 tau/a Matsubara terms: 99,939 at tau = 3.14e4 (the sum),
+    # 101,859 at 3.2e4, past 1e5 the real-axis quadrature, whose cost does
+    # not grow with tau
+    m = TwoPointModel(1.0, 1.0, 1.0)
+    e = two_point_spectral_measure(m)
+    assert abs(two_point_log_eta(m, 3.14e4) - log_eta(e, 3.14e4)) < 1e-12
+    assert two_point_log_eta(m, 3.14e4) != log_eta(e, 3.14e4)
+    assert two_point_log_eta(m, 3.2e4) == log_eta(e, 3.2e4)
+    assert two_point_log_eta(m, 1e9) == log_eta(e, 1e9)
+    assert two_point_partition(m, ThermalState(1e9)).eta_log == log_eta(
+        e, 1e9)
 
 
 def test_two_point_log_z_frozen_value():

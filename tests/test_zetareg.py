@@ -193,6 +193,50 @@ def test_two_point_finite_part_frozen_oracle():
     assert lau.finite_part == pytest.approx(-20.249131413324218427, abs=5e-8)
 
 
+# 30-digit references from the real-axis measure
+# (scripts/derive_reference_values.py); the last point is 0.3 % above the
+# constraint edge
+_ZETA_REFERENCES = [
+    (1.0, 1.0, 1.0, -0.4125, 29.7275711435550435077661929725),
+    (1.0, 1.0, 1.0, 0.01, 0.951173972643196397044196968282),
+    (1.0, 1.0, 1.0, 0.3, 0.378377161997465990121672181695),
+    (0.3, 3.0, 2.0, -0.4125, 42.2982795123170684800593561539),
+    (0.3, 3.0, 2.0, 0.01, 0.952382070480072879451944908466),
+    (0.3, 3.0, 2.0, 0.3, 0.482447984715349042960669607531),
+    (1.0, 1.0, 7.0, -0.4125, 29.7285351669000086046618511073),
+    (1.0, 1.0, 7.0, 0.01, 0.951110077630124913817614359516),
+    (1.0, 1.0, 7.0, 0.3, 0.372972878591078537050258236151),
+    (0.25, 1e4, 1.0, -0.4125, 29662.8534640632329286457127179),
+    (0.25, 1e4, 1.0, 0.01, 0.884472906998848312287943950336),
+    (0.25, 1e4, 1.0, 0.3, 0.428761457793162298391295026787),
+    (0.3, 3.0, 0.168, -0.4125, 42.1733675558638600175716238004),
+    (0.3, 3.0, 0.168, 0.01, 0.955240197594406902845506845118),
+    (0.3, 3.0, 0.168, 0.3, 0.611497560646112638998125276374),
+]
+_FINITE_PART_REFERENCES = [
+    (1.0, 1.0, 1.0, -20.2491314133242184274628568759),
+    (0.3, 3.0, 2.0, -45.148231135251493116570026414),
+    (1.0, 1.0, 7.0, -20.2481968813698931291820190663),
+    (0.25, 1e4, 1.0, -469655.729488058028241419722798),
+    (0.3, 3.0, 0.168, -45.3015082318022316758848071336),
+]
+
+
+@pytest.mark.parametrize("alpha0, alpha1, a, s, ref", _ZETA_REFERENCES)
+def test_two_point_zeta_frozen_references(alpha0, alpha1, a, s, ref):
+    e = two_point_spectral_measure(TwoPointModel(alpha0, alpha1, a))
+    assert relative_zeta_in_strip(e, s) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha0, alpha1, a, ref", _FINITE_PART_REFERENCES)
+def test_two_point_finite_part_frozen_references(alpha0, alpha1, a, ref):
+    m = TwoPointModel(alpha0, alpha1, a)
+    assert two_point_laurent(m).finite_part == pytest.approx(ref, rel=1e-10)
+    tight = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+    assert two_point_laurent(m, tight).finite_part == pytest.approx(
+        ref, rel=1e-10)
+
+
 def test_two_point_parts_decomposition():
     parts = two_point_laurent_parts(TwoPointModel(1.0, 1.0, 1.0))
     assert parts["zeta0"] == pytest.approx(0.025461325917743234, abs=1e-10)
@@ -204,8 +248,16 @@ def test_two_point_parts_decomposition():
 
 def test_two_point_laurent_non_convergence_names_piece():
     spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
+    m = TwoPointModel(1.0, 1.0, 1.0)
     with pytest.raises(NonConvergenceError) as err:
-        two_point_laurent(TwoPointModel(1.0, 1.0, 1.0), spec)
+        two_point_laurent(m, spec)
+    assert "E_int (interaction energy)" in str(err.value)
+    with pytest.raises(NonConvergenceError) as err:
+        relative_zeta_in_strip(two_point_spectral_measure(m), 0.2, spec)
+    assert "zeta_int (interaction head) at s=0.2" in str(err.value)
+    # the real-axis route names its own pieces
+    with pytest.raises(NonConvergenceError) as err:
+        two_point_laurent_parts(m, spec)
     assert "zeta0" in str(err.value) or "zA" in str(err.value)
 
 
