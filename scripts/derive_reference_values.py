@@ -6,9 +6,10 @@ Run it after any change to the reference definitions and compare.
 
     python scripts/derive_reference_values.py
 
-The two-point zeta, finite-part and log eta rows integrate the real-axis
-measure e(v), so they stay independent of the library's imaginary-axis
-route; the script takes about fifteen minutes on one core.
+The two-point heat-trace, zeta, finite-part and log eta rows integrate the
+real-axis measure e(v) with mpmath's own quadrature, so they stay
+independent of the library's imaginary-axis route and of its oscillatory
+engine; the script takes about fifteen minutes on one core.
 """
 
 from mpmath import (ceil, ci, cos, erfc, exp, inf, loggamma, log, mp, mpc,
@@ -47,6 +48,19 @@ def real_axis_zeta(alpha0, alpha1, a, s):
     head = quad(lambda v: v ** (-2 * s) * h2(v), [0, 1])
     tail = quadosc(lambda v: v ** (-2 * s) * h2(v), [1, inf], period=pi / a)
     return ones + head + tail
+
+
+def real_axis_heat_trace(alpha0, alpha1, a, t):
+    """Closed one-point heat traces (1/2) erfcx(4 pi alpha sqrt t) plus
+    int_0^inf exp(-v^2 t) h2 dv, cut at v^2 t = 80, in panels of about one
+    period pi/a."""
+    h2 = h2_two(alpha0, alpha1, a)
+    ones = sum(erfc(c) * exp(c * c) / 2
+               for c in (4 * pi * alpha0 * sqrt(t), 4 * pi * alpha1 * sqrt(t)))
+    top = sqrt(80 / t)
+    panels = int(ceil(top * a / pi))
+    points = [top * k / panels for k in range(panels + 1)]
+    return ones + quad(lambda v: exp(-v * v * t) * h2(v), points)
 
 
 def real_axis_finite_part(alpha0, alpha1, a):
@@ -159,6 +173,13 @@ def main():
             print(f"log Z({label}; beta = {beta}) =",
                   beta * (log(2) - 1) * 2 * (alpha0 + alpha1)
                   - beta / 2 * finite - eta)
+
+    print("# two-point heat traces on the real axis")
+    for point in (("1", "1", "1"), ("0.3", "3", "2"), ("1", "1", "7")):
+        alpha0, alpha1, a = (mpf(x) for x in point)
+        for t in ("1e-3", "0.1", "1", "10"):
+            print(f"K({', '.join(point)}; t = {t}) =",
+                  real_axis_heat_trace(alpha0, alpha1, a, mpf(t)))
 
     print("# Casimir force, a_edge = 1/(2 pi sqrt(alpha0 alpha1))")
     for alpha0, alpha1 in ((1, 1), (mpf("0.3"), 3)):

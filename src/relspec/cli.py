@@ -6,14 +6,18 @@ fields, to stdout or --out.  Floats are printed with 17 significant digits
 and '\\n' line endings, so identical configurations produce byte-identical
 output.
 
-Exit codes: 0 success, 2 invalid parameters or configuration, 3 numerical
-non-convergence.
+Exit codes: 0 success, 2 invalid parameters or configuration (an --out
+path that cannot be written and an unknown config key included), 3
+numerical non-convergence.  Library warnings go to stderr as one
+'warning: <message>' line each, on every call.
 
-Flag values override config-file values (--config, a flat JSON object keyed
-by flag names with underscores), which override built-in defaults.  A
-config value must have its flag's JSON type: a number for numeric flags, an
-integer for --samples and --steps, a boolean for switches and a string
-otherwise.
+Each flag's default is declared once, on its argument in build_parser.
+--config names a flat JSON object keyed by flag names with underscores;
+its values become the command's parser defaults, so flags override the
+file and the file overrides the built-in defaults.  A config value must
+have its flag's JSON type: a number for numeric flags, an integer for
+--samples and --steps, a boolean for switches and a string otherwise.  Keys
+of another command's flags are ignored.
 Flags must be spelled out in full: an abbreviation such as --step is not
 taken for --steps.
 """
@@ -22,8 +26,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+import warnings
 
 from .models import (BoundStateRegimeError, OnePointModel, TwoPointModel,
                      spectral_measure)
@@ -43,89 +46,16 @@ class CliValidationError(ValueError):
     """Bad parameters or configuration; maps to exit code 2."""
 
 
-_DEFAULTS = {
-    "model": "one-point",
-    "beta": 1.0,
-    "ell": 1.0,
-    "format": "csv",
-    "v_min": 0.0, "v_max": 10.0,
-    "t_min": 1e-3, "t_max": 10.0,
-    "s_min": -0.45, "s_max": 0.45,
-    "tau_min": 0.5, "tau_max": 5.0,
-    "samples": 25,
-    "a_min": 1.0, "a_max": 10.0, "steps": 10,
-    "log_spacing": False,
-    "laurent": False,
-    "inject_failure": False,
-}
-
-
-@dataclass
-class RunConfig:
-    """Resolved options for one CLI invocation."""
-
-    command: str
-    model: str = "one-point"
-    alpha: Optional[float] = None
-    alpha0: Optional[float] = None
-    alpha1: Optional[float] = None
-    a: Optional[float] = None
-    beta: float = 1.0
-    ell: float = 1.0
-    format: str = "csv"
-    out: Optional[str] = None
-    abs_tol: Optional[float] = None
-    rel_tol: Optional[float] = None
-    extra: dict = field(default_factory=dict)
-
-    def quadrature_spec(self):
-        if self.abs_tol is None and self.rel_tol is None:
-            return None
-        abs_tol = TIGHT.abs_tol if self.abs_tol is None else self.abs_tol
-        rel_tol = TIGHT.rel_tol if self.rel_tol is None else self.rel_tol
-        try:
-            return QuadratureSpec(abs_tol=abs_tol, rel_tol=rel_tol)
-        except ValueError as exc:
-            raise CliValidationError(str(exc)) from exc
-
-    def build_model(self):
-        if self.model == "one-point":
-            if self.alpha is None:
-                raise CliValidationError(
-                    "one-point model requires --alpha")
-            try:
-                return OnePointModel(self.alpha)
-            except ValueError as exc:
-                raise CliValidationError(str(exc)) from exc
-        if self.model == "two-point":
-            missing = [n for n, v in (("--alpha0", self.alpha0),
-                                      ("--alpha1", self.alpha1),
-                                      ("--a", self.a)) if v is None]
-            if missing:
-                raise CliValidationError(
-                    f"two-point model requires {' '.join(missing)}")
-            try:
-                return TwoPointModel(self.alpha0, self.alpha1, self.a)
-            except ValueError as exc:
-                raise CliValidationError(str(exc)) from exc
-        raise CliValidationError(f"unknown model kind {self.model!r}")
-
-    def thermal_state(self):
-        try:
-            return ThermalState(self.beta, self.ell)
-        except ValueError as exc:
-            raise CliValidationError(str(exc)) from exc
-
-
 def _add_common(sub):
-    sub.add_argument("--model", choices=("one-point", "two-point"))
+    sub.add_argument("--model", choices=("one-point", "two-point"),
+                     default="one-point")
     sub.add_argument("--alpha", type=float)
     sub.add_argument("--alpha0", type=float)
     sub.add_argument("--alpha1", type=float)
     sub.add_argument("--a", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--ell", type=float)
-    sub.add_argument("--format", choices=("csv", "json"))
+    sub.add_argument("--beta", type=float, default=1.0)
+    sub.add_argument("--ell", type=float, default=1.0)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out")
     sub.add_argument("--abs-tol", type=float)
     sub.add_argument("--rel-tol", type=float)
@@ -144,40 +74,31 @@ def build_parser():
         _add_common(sub)
         return sub
 
-    p = command("spectral-measure",
-                "tabulate the relative spectral measure e(v)")
-    p.add_argument("--v-min", type=float)
-    p.add_argument("--v-max", type=float)
-    p.add_argument("--samples", type=int)
+    def table(name, summary, var, lo, hi):
+        """A command tabulating over --<var>-min..--<var>-max."""
+        sub = command(name, summary)
+        sub.add_argument(f"--{var}-min", type=float, default=lo)
+        sub.add_argument(f"--{var}-max", type=float, default=hi)
+        sub.add_argument("--samples", type=int, default=25)
+        return sub
 
-    p = command("heat-trace", "tabulate the relative heat trace")
-    p.add_argument("--t-min", type=float)
-    p.add_argument("--t-max", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--log-spacing", action="store_const", const=True)
-
-    p = command("zeta", "tabulate the relative zeta function or emit its "
-                        "Laurent data at s = -1/2")
-    p.add_argument("--s-min", type=float)
-    p.add_argument("--s-max", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--laurent", action="store_const", const=True)
-
-    p = command("eta", "tabulate the relative eta logarithm")
-    p.add_argument("--tau-min", type=float)
-    p.add_argument("--tau-max", type=float)
-    p.add_argument("--samples", type=int)
-
+    table("spectral-measure", "tabulate the relative spectral measure e(v)",
+          "v", 0.0, 10.0)
+    p = table("heat-trace", "tabulate the relative heat trace",
+              "t", 1e-3, 10.0)
+    p.add_argument("--log-spacing", action="store_true")
+    p = table("zeta", "tabulate the relative zeta function or emit its "
+                      "Laurent data at s = -1/2", "s", -0.45, 0.45)
+    p.add_argument("--laurent", action="store_true")
+    table("eta", "tabulate the relative eta logarithm", "tau", 0.5, 5.0)
     command("partition", "partition function and vacuum energy")
-
     p = command("casimir", "sweep the Casimir force over the separation of "
                            "a two-point model")
-    p.add_argument("--a-min", type=float)
-    p.add_argument("--a-max", type=float)
-    p.add_argument("--steps", type=int)
-
+    p.add_argument("--a-min", type=float, default=1.0)
+    p.add_argument("--a-max", type=float, default=10.0)
+    p.add_argument("--steps", type=int, default=10)
     p = command("verify", "run the internal consistency suite")
-    p.add_argument("--inject-failure", action="store_const", const=True,
+    p.add_argument("--inject-failure", action="store_true",
                    help=argparse.SUPPRESS)
     return parser
 
@@ -203,41 +124,72 @@ def _check_config_value(key, value, action):
             f"{', '.join(action.choices)}, got {json.dumps(value)}")
 
 
-def resolve_config(args, parser) -> RunConfig:
-    """Merge flags over config-file values over defaults."""
-    values = vars(args).copy()
-    command = values.pop("command")
-    values.pop("config", None)
-    file_values = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliValidationError(f"cannot read config file: {exc}")
-        if not isinstance(file_values, dict):
-            raise CliValidationError("config file must hold a JSON object")
-        subs = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction))
-        actions = {a.dest: a for a in subs.choices[command]._actions}
-        for key, value in file_values.items():
-            if key in values:
-                _check_config_value(key, value, actions[key])
+def _apply_config(parser, argv, args):
+    """Parse argv again with the --config file's values as the command's
+    defaults, so that flags override the file and the file overrides the
+    built-in defaults.
 
-    def pick(key):
-        if values.get(key) is not None:
-            return values[key]
-        if key in file_values:
-            return file_values[key]
-        return _DEFAULTS.get(key)
+    Keys of another command's flags are ignored, so one file can serve
+    several commands; a key that is no command's flag is an error.
+    """
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliValidationError(f"cannot read config file: {exc}")
+    if not isinstance(values, dict):
+        raise CliValidationError("config file must hold a JSON object")
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    sub = commands[args.command]
+    actions = {a.dest: a for a in sub._actions}
+    flags = {a.dest for p in commands.values() for a in p._actions}
+    for key, value in values.items():
+        if key not in flags:
+            raise CliValidationError(f"config key {key!r} is not a flag of "
+                                     "any command")
+        if key in vars(args):
+            _check_config_value(key, value, actions[key])
+    sub.set_defaults(**{k: v for k, v in values.items() if k in vars(args)})
+    return parser.parse_args(argv)
 
-    core = {k: pick(k) for k in ("model", "alpha", "alpha0", "alpha1", "a",
-                                 "beta", "ell", "format", "out",
-                                 "abs_tol", "rel_tol")}
-    extra_keys = set(values) - set(core) | {
-        k for k in _DEFAULTS if k not in core}
-    extra = {k: pick(k) for k in sorted(extra_keys) if pick(k) is not None}
-    return RunConfig(command=command, extra=extra, **core)
+
+def _model(args):
+    """The operator pair named by --model and its parameters."""
+    if args.model == "one-point":
+        given = {"--alpha": args.alpha}
+    else:
+        given = {"--alpha0": args.alpha0, "--alpha1": args.alpha1,
+                 "--a": args.a}
+    missing = [name for name, value in given.items() if value is None]
+    if missing:
+        raise CliValidationError(
+            f"{args.model} model requires {' '.join(missing)}")
+    try:
+        if args.model == "one-point":
+            return OnePointModel(args.alpha)
+        return TwoPointModel(args.alpha0, args.alpha1, args.a)
+    except ValueError as exc:
+        raise CliValidationError(str(exc)) from exc
+
+
+def _quadrature_spec(args):
+    """The spec from --abs-tol/--rel-tol, or None when neither is given."""
+    if args.abs_tol is None and args.rel_tol is None:
+        return None
+    abs_tol = TIGHT.abs_tol if args.abs_tol is None else args.abs_tol
+    rel_tol = TIGHT.rel_tol if args.rel_tol is None else args.rel_tol
+    try:
+        return QuadratureSpec(abs_tol=abs_tol, rel_tol=rel_tol)
+    except ValueError as exc:
+        raise CliValidationError(str(exc)) from exc
+
+
+def _thermal_state(args):
+    try:
+        return ThermalState(args.beta, args.ell)
+    except ValueError as exc:
+        raise CliValidationError(str(exc)) from exc
 
 
 def _fmt(x):
@@ -253,8 +205,8 @@ def _csv_cell(x):
     return text
 
 
-def emit(cfg: RunConfig, columns, rows, meta=None):
-    if cfg.format == "json":
+def emit(args, columns, rows, meta=None):
+    if args.format == "json":
         payload = {"columns": list(columns),
                    "rows": [list(r) for r in rows],
                    "meta": meta or {}}
@@ -263,16 +215,19 @@ def emit(cfg: RunConfig, columns, rows, meta=None):
         lines = [",".join(columns)]
         lines += [",".join(_csv_cell(x) for x in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    _write(cfg, text)
+    _write(args, text)
 
 
-def _write(cfg: RunConfig, text):
+def _write(args, text):
     """Write text to --out, or to stdout without it."""
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliValidationError(f"cannot write --out file: {exc}") from exc
 
 
 def _grid(lo, hi, n, logspace=False):
@@ -287,34 +242,30 @@ def _grid(lo, hi, n, logspace=False):
     return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
 
 
-def _positive_bounds(cfg: RunConfig, name):
+def _positive_bounds(args, name):
     """The --<name>-min/--<name>-max pair, both required to be > 0."""
-    lo, hi = cfg.extra[name + "_min"], cfg.extra[name + "_max"]
+    lo, hi = getattr(args, name + "_min"), getattr(args, name + "_max")
     if not (lo > 0 and hi > 0):
         raise CliValidationError(f"need {name}-min > 0 and {name}-max > 0")
     return lo, hi
 
 
-def cmd_spectral_measure(cfg: RunConfig):
-    model = cfg.build_model()
-    v_min = cfg.extra["v_min"]
-    v_max = cfg.extra["v_max"]
-    samples = cfg.extra["samples"]
-    if not (0 <= v_min < v_max):
+def cmd_spectral_measure(args):
+    model = _model(args)
+    if not (0 <= args.v_min < args.v_max):
         raise CliValidationError("need 0 <= v-min < v-max")
     e = spectral_measure(model)
-    grid = _grid(v_min, v_max, samples)
+    grid = _grid(args.v_min, args.v_max, args.samples)
     rows = [(v, e.eval(v)) for v in grid]
-    emit(cfg, ("v", "e"), rows, meta={"model": model.describe()})
+    emit(args, ("v", "e"), rows, meta={"model": model.describe()})
     return 0
 
 
-def cmd_heat_trace(cfg: RunConfig):
-    model = cfg.build_model()
-    spec = cfg.quadrature_spec()
-    t_min, t_max = _positive_bounds(cfg, "t")
-    grid = _grid(t_min, t_max, cfg.extra["samples"],
-                 logspace=bool(cfg.extra.get("log_spacing")))
+def cmd_heat_trace(args):
+    model = _model(args)
+    spec = _quadrature_spec(args)
+    t_min, t_max = _positive_bounds(args, "t")
+    grid = _grid(t_min, t_max, args.samples, logspace=args.log_spacing)
     e = spectral_measure(model)
     if isinstance(model, OnePointModel):
         def row(t):
@@ -327,26 +278,26 @@ def cmd_heat_trace(cfg: RunConfig):
             return (t, relative_heat_trace(e, t, spec))
         columns = ("t", "heat_trace")
     rows = [row(t) for t in grid]
-    emit(cfg, columns, rows, meta={"model": model.describe()})
+    emit(args, columns, rows, meta={"model": model.describe()})
     return 0
 
 
-def cmd_zeta(cfg: RunConfig):
-    model = cfg.build_model()
-    spec = cfg.quadrature_spec()
-    if cfg.extra.get("laurent"):
+def cmd_zeta(args):
+    model = _model(args)
+    spec = _quadrature_spec(args)
+    if args.laurent:
         if isinstance(model, OnePointModel):
             lau = one_point_laurent(model)
         else:
             lau = two_point_laurent(model, spec)
-        emit(cfg, ("residue", "finite_part"),
+        emit(args, ("residue", "finite_part"),
              [(lau.residue, lau.finite_part)],
              meta={"model": model.describe(), "expansion_point": -0.5})
         return 0
     e = spectral_measure(model)
-    grid = _grid(cfg.extra["s_min"], cfg.extra["s_max"], cfg.extra["samples"])
+    grid = _grid(args.s_min, args.s_max, args.samples)
     rows = [(s, relative_zeta_in_strip(e, s, spec)) for s in grid]
-    emit(cfg, ("s", "zeta"), rows, meta={"model": model.describe()})
+    emit(args, ("s", "zeta"), rows, meta={"model": model.describe()})
     return 0
 
 
@@ -359,12 +310,12 @@ def _log_eta_of(model, spec):
     return lambda tau: two_point_log_eta(model, tau, spec)
 
 
-def cmd_eta(cfg: RunConfig):
-    model = cfg.build_model()
-    spec = cfg.quadrature_spec()
+def cmd_eta(args):
+    model = _model(args)
+    spec = _quadrature_spec(args)
     eta = _log_eta_of(model, spec)
-    tau_min, tau_max = _positive_bounds(cfg, "tau")
-    grid = _grid(tau_min, tau_max, cfg.extra["samples"])
+    tau_min, tau_max = _positive_bounds(args, "tau")
+    grid = _grid(tau_min, tau_max, args.samples)
     if isinstance(model, OnePointModel) and model.alpha > 0:
         def row(tau):
             q = eta(tau)
@@ -376,14 +327,14 @@ def cmd_eta(cfg: RunConfig):
             return (tau, eta(tau))
         columns = ("tau", "log_eta")
     rows = [row(tau) for tau in grid]
-    emit(cfg, columns, rows, meta={"model": model.describe()})
+    emit(args, columns, rows, meta={"model": model.describe()})
     return 0
 
 
-def cmd_partition(cfg: RunConfig):
-    model = cfg.build_model()
-    th = cfg.thermal_state()
-    spec = cfg.quadrature_spec()
+def cmd_partition(args):
+    model = _model(args)
+    th = _thermal_state(args)
+    spec = _quadrature_spec(args)
     if isinstance(model, OnePointModel):
         report = one_point_partition(model, th, spec)
         closed = one_point_log_z_closed(model, th)
@@ -403,33 +354,30 @@ def cmd_partition(cfg: RunConfig):
              report.vacuum_energy, report.eta_log, report.laurent.residue,
              report.laurent.finite_part, explicit, slope,
              abs(slope - report.vacuum_energy))]
-    emit(cfg, columns, rows,
+    emit(args, columns, rows,
          meta={"model": report.model,
                "slope_note": "slope_beta30 approximates the vacuum energy "
                              "at low temperature"})
     return 0
 
 
-def cmd_casimir(cfg: RunConfig):
-    if cfg.model != "two-point":
+def cmd_casimir(args):
+    if args.model != "two-point":
         raise CliValidationError("casimir requires --model two-point")
     for name in ("alpha0", "alpha1"):
-        if getattr(cfg, name) is None:
+        if getattr(args, name) is None:
             raise CliValidationError(f"casimir requires --{name}")
-    cfg.thermal_state()  # validates --beta/--ell; the force uses neither
-    spec = cfg.quadrature_spec()
-    a_min = cfg.extra["a_min"]
-    a_max = cfg.extra["a_max"]
-    steps = cfg.extra["steps"]
-    if not (0 < a_min < a_max):
+    _thermal_state(args)  # validates --beta/--ell; the force uses neither
+    spec = _quadrature_spec(args)
+    if not (0 < args.a_min < args.a_max):
         raise CliValidationError("need 0 < a-min < a-max")
-    if steps < 2:
+    if args.steps < 2:
         raise CliValidationError("steps must be >= 2")
-    grid = _grid(a_min, a_max, steps)
+    grid = _grid(args.a_min, args.a_max, args.steps)
 
     def row(a):
         try:
-            model = TwoPointModel(cfg.alpha0, cfg.alpha1, a)
+            model = TwoPointModel(args.alpha0, args.alpha1, a)
             force = casimir_force(model, spec)
         except BoundStateRegimeError as exc:
             sys.stderr.write(f"warning: skipping a = {a:g}: {exc}\n")
@@ -437,16 +385,15 @@ def cmd_casimir(cfg: RunConfig):
         return (a, force.value, force.error_estimate)
 
     rows = [r for r in (row(a) for a in grid) if r is not None]
-    emit(cfg, ("a", "force", "error_estimate"), rows,
+    emit(args, ("a", "force", "error_estimate"), rows,
          meta={"sign_convention": "force = -dE_vacuum/da "
                                   "(negative = attractive)",
-               "alpha0": cfg.alpha0, "alpha1": cfg.alpha1})
+               "alpha0": args.alpha0, "alpha1": args.alpha1})
     return 0
 
 
-def cmd_verify(cfg: RunConfig):
-    results, ok = run_all(inject_failure=bool(
-        cfg.extra.get("inject_failure")))
+def cmd_verify(args):
+    results, ok = run_all(inject_failure=args.inject_failure)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         sys.stdout.write(f"{status} {r.name}: {r.detail} "
@@ -457,7 +404,7 @@ def cmd_verify(cfg: RunConfig):
                     "value": r.value, "tolerance": r.tolerance}
                    for r in results],
     }
-    _write(cfg, json.dumps(summary, sort_keys=True) + "\n")
+    _write(args, json.dumps(summary, sort_keys=True) + "\n")
     return 0 if ok else 1
 
 
@@ -472,19 +419,28 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, *_):
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cfg = resolve_config(args, parser)
-        return _COMMANDS[cfg.command](cfg)
-    except (CliValidationError, BoundStateRegimeError,
-            ContinuationRequiredError, ZetaPoleError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except NonConvergenceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+    # entering catch_warnings also clears Python's once-per-location
+    # registry, so a repeated in-process call reports its warnings again
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            if args.config:
+                args = _apply_config(parser, argv, args)
+            return _COMMANDS[args.command](args)
+        except (CliValidationError, BoundStateRegimeError,
+                ContinuationRequiredError, ZetaPoleError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+        except NonConvergenceError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 3
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 import json
 import math
+import pathlib
+import re
 
 import pytest
 
-from relspec.cli import main
+from relspec.cli import build_parser, main
 from relspec.models import TwoPointModel
 from relspec.thermo import ThermalState, two_point_partition
 
@@ -239,6 +241,9 @@ def test_config_file_invalid(tmp_path, capsys):
     ("zeta", {"alpha": 0.25, "laurent": 1}),
     ("casimir", {"model": "two-point", "alpha0": 1, "alpha1": 1,
                  "steps": 4.0}),
+    # keys that are no command's flag
+    ("spectral-measure", {"alpha": 1, "abstol": 1e-12}),
+    ("spectral-measure", {"alpha": 1, "command": "zeta"}),
 ])
 def test_config_value_of_wrong_type(tmp_path, capsys, command, values):
     cfg = tmp_path / "run.json"
@@ -248,6 +253,55 @@ def test_config_value_of_wrong_type(tmp_path, capsys, command, values):
     assert out == ""
     assert err.startswith("error: config key") and err.count("\n") == 1
     assert repr(list(values)[-1]) in err
+
+
+def test_config_does_not_leak_into_a_later_call(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"alpha": 0.25, "samples": 3,
+                               "format": "json"}))
+    code, out, _ = run_cli(capsys, "spectral-measure", "--config", str(cfg))
+    assert code == 0 and len(json.loads(out)["rows"]) == 3
+    code, out, _ = run_cli(capsys, "spectral-measure", "--alpha", "0.25")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 26  # header + default 25 rows
+
+
+# every flag's default, kept apart from the parser so that a changed
+# default fails here
+_EXPECTED_DEFAULTS = {
+    "model": "one-point",
+    "beta": 1.0,
+    "ell": 1.0,
+    "format": "csv",
+    "v_min": 0.0, "v_max": 10.0,
+    "t_min": 1e-3, "t_max": 10.0,
+    "s_min": -0.45, "s_max": 0.45,
+    "tau_min": 0.5, "tau_max": 5.0,
+    "samples": 25,
+    "a_min": 1.0, "a_max": 10.0, "steps": 10,
+    "log_spacing": False,
+    "laurent": False,
+    "inject_failure": False,
+}
+_COMMON_KEYS = ("model", "alpha", "alpha0", "alpha1", "a", "beta", "ell",
+                "format", "out", "abs_tol", "rel_tol", "config")
+_OWN_KEYS = {
+    "spectral-measure": ("v_min", "v_max", "samples"),
+    "heat-trace": ("t_min", "t_max", "samples", "log_spacing"),
+    "zeta": ("s_min", "s_max", "samples", "laurent"),
+    "eta": ("tau_min", "tau_max", "samples"),
+    "partition": (),
+    "casimir": ("a_min", "a_max", "steps"),
+    "verify": ("inject_failure",),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OWN_KEYS))
+def test_parsed_defaults_of_every_command(command):
+    parsed = vars(build_parser().parse_args([command]))
+    expected = {key: _EXPECTED_DEFAULTS.get(key)
+                for key in _COMMON_KEYS + _OWN_KEYS[command]}
+    assert parsed == {"command": command, **expected}
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +385,33 @@ def test_two_point_commands_stay_off_the_oscillatory_engine(capsys,
         assert out.count("\n") >= 2
 
 
+def test_exit_2_on_out_path_that_cannot_be_opened(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "spectral-measure", "--alpha", "1",
+                             "--samples", "2",
+                             "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out") and \
+        err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("zeta", "--alpha", "0", "--laurent"), "alpha = 0 is degenerate"),
+    # 4 pi^2 alpha0 alpha1 a^2 == 1 exactly in floating point
+    (("zeta", "--model", "two-point", "--alpha0", "1",
+      "--alpha1", repr(1 / (4 * math.pi ** 2)), "--a", "1", "--laurent"),
+     "at the constraint boundary"),
+])
+def test_library_warning_is_one_line_on_every_call(capsys, argv, message):
+    first = run_cli(capsys, *argv)
+    second = run_cli(capsys, *argv)
+    assert first == second
+    code, out, err = first
+    assert code == 0 and out.count("\n") == 2
+    assert err.startswith("warning: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_exit_3_on_non_convergence(capsys):
     code, _, err = run_cli(capsys, "heat-trace", "--alpha", "0.25",
                            "--t-min", "0.5", "--t-max", "1", "--samples",
@@ -359,3 +440,41 @@ def test_verify_injected_failure(capsys):
     code, out, _ = run_cli(capsys, "verify", "--inject-failure")
     assert code != 0
     assert "FAIL injected_failure" in out
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+_README = (pathlib.Path(__file__).resolve().parent.parent
+           / "README.md").read_text(encoding="utf-8")
+_README_CLI = _README.split("## CLI", 1)[1].split("\n## ", 1)[0]
+_README_COMMANDS = [line.split()[1:]
+                    for line in _README_CLI.split("```")[1].splitlines()
+                    if line.startswith("relspec ")]
+_README_CONFIG = re.search(r"`(\{.*?\})`", _README_CLI).group(1)
+
+
+def test_readme_cli_block_is_found():
+    assert len(_README_COMMANDS) == 8
+    assert json.loads(_README_CONFIG) == {"alpha": 0.25, "v_max": 2.0}
+
+
+@pytest.mark.parametrize("argv", _README_COMMANDS + [["config"]],
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_readme_cli_commands_run(tmp_path, capsys, argv):
+    if argv == ["config"]:
+        # v_max is a spectral-measure flag, ignored by heat-trace
+        cfg = tmp_path / "run.json"
+        cfg.write_text(_README_CONFIG)
+        argv = ["heat-trace", "--config", str(cfg)]
+    out_file = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 0
+    assert err == ""
+    if argv[0] == "verify":  # PASS lines on stdout, JSON summary in --out
+        assert out.startswith("PASS ")
+        assert json.loads(out_file.read_text())["all_passed"] is True
+        return
+    lines = out_file.read_text().splitlines()
+    assert len(lines) >= 2 and "," in lines[0]

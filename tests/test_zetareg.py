@@ -237,6 +237,30 @@ def test_two_point_finite_part_frozen_references(alpha0, alpha1, a, ref):
         ref, rel=1e-10)
 
 
+# 30-digit real-axis rows (scripts/derive_reference_values.py): closed
+# one-point parts plus the quadrature of exp(-v^2 t) h2(v)
+_HEAT_TRACE_REFERENCES = [
+    (1.0, 1.0, 1.0, 1e-3, 0.672339054997028724835235704254),
+    (1.0, 1.0, 1.0, 0.1, 0.137852064450395351938885900063),
+    (1.0, 1.0, 1.0, 1.0, 0.04595664826369448225065800366),
+    (1.0, 1.0, 1.0, 10.0, 0.0152825427928351801052809618693),
+    (0.3, 3.0, 2.0, 1e-3, 0.629391299574907881712581560961),
+    (0.3, 3.0, 2.0, 0.1, 0.213715552011221684470191423982),
+    (0.3, 3.0, 2.0, 1.0, 0.0799370848784445020962507598902),
+    (0.3, 3.0, 2.0, 10.0, 0.0263701005461536660096880956505),
+    (1.0, 1.0, 7.0, 1e-3, 0.672339054997028724835235704254),
+    (1.0, 1.0, 7.0, 0.1, 0.137851903200332178699044438718),
+    (1.0, 1.0, 7.0, 1.0, 0.0447559538434521005530939946065),
+    (1.0, 1.0, 7.0, 10.0, 0.0141942065766390586608848948652),
+]
+
+
+@pytest.mark.parametrize("alpha0, alpha1, a, t, ref", _HEAT_TRACE_REFERENCES)
+def test_two_point_heat_trace_frozen_references(alpha0, alpha1, a, t, ref):
+    e = two_point_spectral_measure(TwoPointModel(alpha0, alpha1, a))
+    assert relative_heat_trace(e, t) == pytest.approx(ref, rel=1e-9)
+
+
 def test_two_point_parts_decomposition():
     parts = two_point_laurent_parts(TwoPointModel(1.0, 1.0, 1.0))
     assert parts["zeta0"] == pytest.approx(0.025461325917743234, abs=1e-10)
