@@ -50,17 +50,42 @@ def real_axis_zeta(alpha0, alpha1, a, s):
     return ones + head + tail
 
 
-def real_axis_heat_trace(alpha0, alpha1, a, t):
-    """Closed one-point heat traces (1/2) erfcx(4 pi alpha sqrt t) plus
-    int_0^inf exp(-v^2 t) h2 dv, cut at v^2 t = 80, in panels of about one
-    period pi/a."""
-    h2 = h2_two(alpha0, alpha1, a)
-    ones = sum(erfc(c) * exp(c * c) / 2
+def one_point_heat_traces(alpha0, alpha1, t):
+    """Closed one-point heat traces (1/2) erfcx(4 pi alpha sqrt t), summed."""
+    return sum(erfc(c) * exp(c * c) / 2
                for c in (4 * pi * alpha0 * sqrt(t), 4 * pi * alpha1 * sqrt(t)))
+
+
+def real_axis_heat_trace(alpha0, alpha1, a, t):
+    """Closed one-point heat traces plus int_0^inf exp(-v^2 t) h2 dv, cut
+    at v^2 t = 80, in panels of about one period pi/a."""
+    h2 = h2_two(alpha0, alpha1, a)
     top = sqrt(80 / t)
     panels = int(ceil(top * a / pi))
     points = [top * k / panels for k in range(panels + 1)]
-    return ones + quad(lambda v: exp(-v * v * t) * h2(v), points)
+    return (one_point_heat_traces(alpha0, alpha1, t)
+            + quad(lambda v: exp(-v * v * t) * h2(v), points))
+
+
+def small_t_heat_trace(alpha0, alpha1, a, t):
+    """Closed one-point heat traces, where the interaction part is below
+    1e-30.  On the line Im v = a/t the interaction part is
+
+        K_int = (2a/pi) exp(-a^2/t) int_0^inf exp(-t x^2) Re R dx,
+        R = (w0 w1 + (w0 + w1)/2) / (w0 w1 (w0 w1 - p)),
+
+    w_j = c_j - iva, c_j = 4 pi alpha_j a, p = exp(2iva).  There
+    |w_j| >= m_j = c_j + a^2/t and |p| <= 1, so
+
+        |K_int| <= (2a/pi) exp(-a^2/t) sqrt(pi/(4t)) max|R|,
+        max|R|  <= (1 + (1/m0 + 1/m1)/2) / (m0 m1 - 1),
+
+    and the bound is asserted below 1e-30."""
+    m0, m1 = (4 * pi * alpha * a + a * a / t for alpha in (alpha0, alpha1))
+    max_r = (1 + (1 / m0 + 1 / m1) / 2) / (m0 * m1 - 1)
+    bound = 2 * a / pi * exp(-a * a / t) * sqrt(pi / (4 * t)) * max_r
+    assert bound < mpf("1e-30"), bound
+    return one_point_heat_traces(alpha0, alpha1, t)
 
 
 def real_axis_finite_part(alpha0, alpha1, a):
@@ -174,12 +199,18 @@ def main():
                   beta * (log(2) - 1) * 2 * (alpha0 + alpha1)
                   - beta / 2 * finite - eta)
 
-    print("# two-point heat traces on the real axis")
-    for point in (("1", "1", "1"), ("0.3", "3", "2"), ("1", "1", "7")):
+    print("# two-point heat traces on the real axis; the last two t of each"
+          " point sit at a^2/t = 2 and 20")
+    for point, ts in ((("1", "1", "1"), ("0.5", "0.05")),
+                      (("0.3", "3", "2"), ("2", "0.2")),
+                      (("1", "1", "7"), ("24.5", "2.45"))):
         alpha0, alpha1, a = (mpf(x) for x in point)
-        for t in ("1e-3", "0.1", "1", "10"):
+        for t in ("1e-3", "0.1", "1", "10") + ts:
             print(f"K({', '.join(point)}; t = {t}) =",
                   real_axis_heat_trace(alpha0, alpha1, a, mpf(t)))
+        for t in ("1e-8", "1e-6"):
+            print(f"K({', '.join(point)}; t = {t}) =",
+                  small_t_heat_trace(alpha0, alpha1, a, mpf(t)))
 
     print("# Casimir force, a_edge = 1/(2 pi sqrt(alpha0 alpha1))")
     for alpha0, alpha1 in ((1, 1), (mpf("0.3"), 3)):

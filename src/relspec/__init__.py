@@ -20,7 +20,7 @@ from .zetareg import (ContinuationRequiredError, LaurentData,
                       numeric_laurent_probe, one_point_heat_trace_closed,
                       one_point_laurent, one_point_zeta_closed,
                       relative_heat_trace, relative_zeta_in_strip,
-                      two_point_interaction_energy, two_point_laurent,
-                      two_point_laurent_parts)
+                      two_point_heat_trace, two_point_interaction_energy,
+                      two_point_laurent, two_point_laurent_parts)
 
 __version__ = "0.1.0"

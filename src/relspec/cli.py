@@ -39,7 +39,7 @@ from .verify import run_all
 from .zetareg import (ContinuationRequiredError, ZetaPoleError,
                       one_point_heat_trace_closed, one_point_laurent,
                       relative_heat_trace, relative_zeta_in_strip,
-                      two_point_laurent)
+                      two_point_heat_trace, two_point_laurent)
 
 
 class CliValidationError(ValueError):
@@ -266,8 +266,9 @@ def cmd_heat_trace(args):
     spec = _quadrature_spec(args)
     t_min, t_max = _positive_bounds(args, "t")
     grid = _grid(t_min, t_max, args.samples, logspace=args.log_spacing)
-    e = spectral_measure(model)
     if isinstance(model, OnePointModel):
+        e = spectral_measure(model)
+
         def row(t):
             q = relative_heat_trace(e, t, spec)
             c = one_point_heat_trace_closed(model, t)
@@ -275,7 +276,7 @@ def cmd_heat_trace(args):
         columns = ("t", "heat_trace", "closed_form", "abs_diff")
     else:
         def row(t):
-            return (t, relative_heat_trace(e, t, spec))
+            return (t, two_point_heat_trace(model, t, spec))
         columns = ("t", "heat_trace")
     rows = [row(t) for t in grid]
     emit(args, columns, rows, meta={"model": model.describe()})

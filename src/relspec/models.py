@@ -23,8 +23,10 @@ them.
 On the imaginary axis k = i xi the two-center determinant has no zeros and
 no oscillation; two_point_interaction gives its interaction factor, from
 which the production two-point zeta function, Laurent data, log eta and
-Casimir force are built.  e(v) is the boundary value of the same resolvent
-and serves the real-axis cross-checks.
+Casimir force are built.  The production two-point heat trace
+(zetareg.two_point_heat_trace) continues the same resolvent to the line
+Im k = a/t.  e(v) is the boundary value of the resolvent and serves the
+real-axis cross-checks.
 """
 
 import cmath

@@ -3,8 +3,8 @@
 Each check exercises one identity the library is built on: closed forms
 against quadrature, sum rules, Laurent probes against analytic data, the
 degeneracy limit of the two-point model, and, for each of the two-point
-Laurent data, log eta and the Casimir force, the paper's real-axis route
-against the imaginary-axis one.
+Laurent data, log eta, the heat trace and the Casimir force, the paper's
+real-axis route against the imaginary-axis or shifted-contour one.
 All checks run in a fraction of a second on one core.
 """
 
@@ -165,6 +165,15 @@ def check_two_point_log_eta_two_routes():
                   real_axis - thermo.two_point_log_eta(m, 2.0), 1e-8)
 
 
+def check_two_point_heat_trace_two_routes():
+    """Real-axis heat trace against the steepest-descent line."""
+    m = models.TwoPointModel(1.0, 1.0, 1.0)
+    real_axis = zetareg.relative_heat_trace(
+        models.two_point_spectral_measure(m), 1.0)
+    return _check("two_point_heat_trace_two_routes",
+                  real_axis - zetareg.two_point_heat_trace(m, 1.0), 1e-9)
+
+
 def check_force_two_routes():
     m = models.TwoPointModel(1.0, 1.0, 1.2)
     (quotient,) = paper_route_forces(m, (1.0,))
@@ -184,6 +193,7 @@ ALL_CHECKS = (
     check_ell_covariance,
     check_two_point_energy_split,
     check_two_point_log_eta_two_routes,
+    check_two_point_heat_trace_two_routes,
     check_force_two_routes,
 )
 

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from relspec import verify
 from relspec.cli import build_parser, main
 from relspec.models import TwoPointModel
 from relspec.thermo import ThermalState, two_point_partition
@@ -379,10 +380,30 @@ def test_two_point_commands_stay_off_the_oscillatory_engine(capsys,
     for argv in (("zeta",), ("zeta", "--laurent"),
                  ("zeta", "--laurent", "--abs-tol", "1e-12",
                   "--rel-tol", "1e-12"),
-                 ("eta",), ("partition", "--beta", "5")):
+                 ("eta",), ("partition", "--beta", "5"),
+                 ("heat-trace", "--t-min", "1e-8", "--log-spacing")):
         code, out, err = run_cli(capsys, *argv, *_TWO)
         assert (code, err) == (0, ""), argv
         assert out.count("\n") >= 2
+
+
+@pytest.mark.parametrize("alpha0, alpha1, a", [
+    ("1", "1", "1"),
+    # 4 pi^2 alpha0 alpha1 a^2 = 1.003, just inside the constraint edge
+    ("1", "1", repr(math.sqrt(1.003) / (2 * math.pi))),
+    ("8.68", "17.9", "8.75"),
+])
+def test_two_point_heat_trace_down_to_small_t(capsys, alpha0, alpha1, a):
+    code, out, err = run_cli(capsys, "heat-trace", "--model", "two-point",
+                             "--alpha0", alpha0, "--alpha1", alpha1,
+                             "--a", a, "--t-min", "1e-8", "--t-max", "10",
+                             "--log-spacing")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 25
+    values = [float(k) for _, k in rows]
+    # on these models the trace falls monotonically in t, from below 1
+    assert all(1.0 > x > y > 0.0 for x, y in zip(values, values[1:]))
 
 
 def test_exit_2_on_out_path_that_cannot_be_opened(tmp_path, capsys):
@@ -434,6 +455,17 @@ def test_verify_green(capsys, tmp_path):
     assert "0.5" in captured.out  # the sum-rule value is reported
     summary = json.loads(out_file.read_text())
     assert summary["all_passed"] is True
+
+
+def test_verify_compares_the_two_point_heat_trace_routes():
+    assert verify.check_two_point_heat_trace_two_routes in verify.ALL_CHECKS
+    result = verify.check_two_point_heat_trace_two_routes()
+    assert result.name == "two_point_heat_trace_two_routes"
+    assert result.passed and result.tolerance == 1e-9
+
+
+def test_readme_states_the_verify_check_count():
+    assert f"runs {len(verify.ALL_CHECKS)} checks" in _README
 
 
 def test_verify_injected_failure(capsys):

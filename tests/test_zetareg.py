@@ -12,8 +12,8 @@ from relspec.zetareg import (ContinuationRequiredError, LaurentData,
                              numeric_laurent_probe,
                              one_point_heat_trace_closed, one_point_laurent,
                              one_point_zeta_closed, relative_heat_trace,
-                             relative_zeta_in_strip, two_point_laurent,
-                             two_point_laurent_parts)
+                             relative_zeta_in_strip, two_point_heat_trace,
+                             two_point_laurent, two_point_laurent_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +259,42 @@ _HEAT_TRACE_REFERENCES = [
 def test_two_point_heat_trace_frozen_references(alpha0, alpha1, a, t, ref):
     e = two_point_spectral_measure(TwoPointModel(alpha0, alpha1, a))
     assert relative_heat_trace(e, t) == pytest.approx(ref, rel=1e-9)
+
+
+# 30-digit rows at a^2/t = 2 and 20 on the real axis, and at t = 1e-8 and
+# 1e-6, where the interaction part is bounded below 1e-30
+# (scripts/derive_reference_values.py)
+_HEAT_TRACE_CONTOUR_REFERENCES = [
+    (1.0, 1.0, 1.0, 0.5, 0.0636348389574319693385086120533),
+    (1.0, 1.0, 1.0, 0.05, 0.189942224486726130948891955468),
+    (1.0, 1.0, 1.0, 1e-8, 0.9985836145644539582897726785),
+    (1.0, 1.0, 1.0, 1e-6, 0.985976802466200119941268449374),
+    (0.3, 3.0, 2.0, 2.0, 0.0574688995049308015321005585564),
+    (0.3, 3.0, 2.0, 0.2, 0.163500394801039210031484122971),
+    (0.3, 3.0, 2.0, 1e-8, 0.997667517970942455460132581965),
+    (0.3, 3.0, 2.0, 1e-6, 0.977301648027097233689505028752),
+    (1.0, 1.0, 7.0, 24.5, 0.00908283248182351072302642050865),
+    (1.0, 1.0, 7.0, 2.45, 0.0286465742592962075471875659743),
+    (1.0, 1.0, 7.0, 1e-8, 0.9985836145644539582897726785),
+    (1.0, 1.0, 7.0, 1e-6, 0.985976802466200119941268449374),
+]
+
+
+@pytest.mark.parametrize(
+    "alpha0, alpha1, a, t, ref",
+    _HEAT_TRACE_REFERENCES + _HEAT_TRACE_CONTOUR_REFERENCES)
+def test_two_point_heat_trace_contour_references(alpha0, alpha1, a, t, ref):
+    m = TwoPointModel(alpha0, alpha1, a)
+    assert two_point_heat_trace(m, t) == pytest.approx(ref, rel=1e-10)
+
+
+def test_two_point_heat_trace_interaction_underflows_to_zero():
+    # a^2/t = 1e6: exp(-a^2/t) is 0.0, so only the closed parts remain
+    m = TwoPointModel(1.0, 1.0, 1.0)
+    assert two_point_heat_trace(m, 1e-6) == 2.0 * one_point_heat_trace_closed(
+        OnePointModel(1.0), 1e-6)
+    with pytest.raises(ValueError):
+        two_point_heat_trace(m, 0.0)
 
 
 def test_two_point_parts_decomposition():
