@@ -11,7 +11,7 @@ import argparse
 from relspec.cli import main as cli_main
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--alpha0", type=float, default=1.0)
     parser.add_argument("--alpha1", type=float, default=1.0)
@@ -19,7 +19,7 @@ def main():
     parser.add_argument("--a-max", type=float, default=20.0)
     parser.add_argument("--steps", type=int, default=40)
     parser.add_argument("--beta", type=float, default=5.0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     return cli_main([
         "casimir", "--model", "two-point",
         "--alpha0", repr(args.alpha0), "--alpha1", repr(args.alpha1),

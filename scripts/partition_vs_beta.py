@@ -13,7 +13,7 @@ from relspec.thermo import ThermalState, one_point_partition, \
     two_point_partition
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--alpha", type=float, default=0.5)
     parser.add_argument("--alpha0", type=float, default=1.0)
@@ -22,7 +22,9 @@ def main():
     parser.add_argument("--beta-min", type=float, default=1.0)
     parser.add_argument("--beta-max", type=float, default=40.0)
     parser.add_argument("--samples", type=int, default=20)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.samples < 2:
+        parser.error("--samples must be >= 2")
 
     one = OnePointModel(args.alpha)
     two = TwoPointModel(args.alpha0, args.alpha1, args.a)

@@ -26,7 +26,8 @@ which the production two-point zeta function, Laurent data, log eta and
 Casimir force are built.  The production two-point heat trace
 (zetareg.two_point_heat_trace) continues the same resolvent to the line
 Im k = a/t.  e(v) is the boundary value of the resolvent and serves the
-real-axis cross-checks.
+real-axis cross-checks; its cos(2av)/v^2 tail is damped in the heat trace
+and log eta and summed by zetareg only in the paper's Laurent route.
 """
 
 import cmath
@@ -118,8 +119,8 @@ class SpectralMeasure:
 
     eval(v) is finite and real for every v >= 0.  model is the generating
     operator pair; continuation code reads the measure's asymptotics (the
-    Lorentzian subtraction, the cosine-integral term, the oscillation
-    period) from it.
+    Lorentzian subtraction, the cosine-integral term and the period pi/a
+    of the cos(2av) tail) from it.
     """
 
     eval: Callable[[float], float]
@@ -131,13 +132,6 @@ class SpectralMeasure:
     @property
     def is_zero(self):
         return isinstance(self.model, OnePointModel) and self.model.alpha == 0
-
-    @property
-    def oscillation_period(self):
-        """Period pi/a of the cos(2av) tail factor, or None if smooth."""
-        if isinstance(self.model, TwoPointModel):
-            return math.pi / self.model.a
-        return None
 
 
 def _require_upper_half(k):

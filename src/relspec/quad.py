@@ -5,16 +5,17 @@ Two entry points:
 * :func:`integrate_finite` is a globally adaptive Gauss-Kronrod (7, 15)
   bisection scheme on a bounded interval.
 
-* :func:`integrate_to_infinity` handles ``(lo, inf)``.  Smooth decaying
-  integrands are mapped onto (0, 1) through ``v = lo + u/(1-u)``.  When the
-  integrand carries a persistent trigonometric factor (relative spectral
-  measures of two-center models do) the caller sets
-  ``QuadratureSpec.oscillation_period``; the engine then sums half-period
-  panels, whose contributions alternate in sign, and accelerates the partial
-  sums with Wynn's epsilon algorithm.  The variable change is useless there
-  because it destroys the periodicity the accelerator relies on.  The
-  epsilon table is kept as one last diagonal, updated once per panel; the
-  50-wide and the half window read prefixes of it, at O(window) cost.
+* :func:`integrate_to_infinity` handles ``(lo, inf)`` for decaying
+  integrands, mapped onto (0, 1) through ``v = lo + u/(1-u)``.
+
+* :func:`integrate_oscillatory` handles ``(lo, inf)`` for an integrand with
+  a persistent trigonometric factor of known period that decays too slowly
+  for the mapping (the conditionally convergent cos(2av)/v tail of the
+  paper's real-axis continuation).  It sums half-period panels, whose
+  contributions alternate in sign, and accelerates the partial sums with
+  Wynn's epsilon algorithm.  The epsilon table is kept as one last
+  diagonal, updated once per panel; the 50-wide and the half window read
+  prefixes of it, at O(window) cost.
 
 Non-convergence is reported through the ``converged`` flag on the result,
 never by raising: parameter sweeps must survive a single hard point.  Callers
@@ -70,26 +71,21 @@ MAX_TOL = 1e-3
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances of a quadrature call, and the integrand's period.
+    """Tolerances of a quadrature call.
 
     A result converges when its error estimate is at most
     max(abs_tol, rel_tol |value|); both tolerances must be positive and at
     most MAX_TOL, above which a "converged" result would be too rough to
-    print without an error bar.  oscillation_period, when set, is the
-    period of the trigonometric factor of the integrand and switches
-    integrate_to_infinity into panel-summation mode.
+    print without an error bar.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    oscillation_period: float | None = None
 
     def __post_init__(self):
         if not (0 < self.abs_tol <= MAX_TOL and 0 < self.rel_tol <= MAX_TOL):
             raise ValueError(f"tolerances must be positive and at most "
                              f"{MAX_TOL:g}")
-        if self.oscillation_period is not None and self.oscillation_period <= 0:
-            raise ValueError("oscillation_period must be positive")
 
     def tolerance_for(self, value):
         return max(self.abs_tol, self.rel_tol * abs(value))
@@ -224,11 +220,8 @@ class _MappedTail:
 
 def integrate_to_infinity(f, lo, spec: QuadratureSpec | None = None):
     """Quadrature of f over (lo, inf); f must decay integrably."""
-    spec = spec or QuadratureSpec()
-    if spec.oscillation_period is not None:
-        return _oscillatory_tail(f, lo, spec)
     mapped = _MappedTail(_EvalCounter(f), lo)
-    return _adaptive(mapped, 0.0, 1.0, spec, budget=2000)
+    return _adaptive(mapped, 0.0, 1.0, spec or QuadratureSpec(), budget=2000)
 
 
 class _EpsilonDiagonal:
@@ -275,15 +268,17 @@ class _EpsilonDiagonal:
         return history[0], math.inf
 
 
-def _oscillatory_tail(f, lo, spec):
-    """Half-period panel summation with epsilon acceleration.
+def integrate_oscillatory(f, lo, period, spec: QuadratureSpec | None = None):
+    """Quadrature of f over (lo, inf), f = decaying envelope times a
+    trigonometric factor of the given period.
 
-    Panels of width oscillation_period/2 give sign-alternating
-    contributions once the decaying envelope dominates; Wynn's epsilon on
-    the partial sums then converges far beyond the walked range.  At most
-    600 panels are walked, each with at most 60 bisections.
+    Panels of width period/2 give sign-alternating contributions once the
+    envelope dominates; Wynn's epsilon on the partial sums then converges
+    far beyond the walked range.  At most 600 panels are walked, each with
+    at most 60 bisections.
     """
-    half = spec.oscillation_period / 2.0
+    spec = spec or QuadratureSpec()
+    half = period / 2.0
     counter = _EvalCounter(f)
     panel_spec = QuadratureSpec(abs_tol=max(spec.abs_tol / 50.0, 1e-15),
                                 rel_tol=min(spec.rel_tol, 1e-10))
@@ -291,21 +286,12 @@ def _oscillatory_tail(f, lo, spec):
     total = previous = 0.0
     best = 0.0
     best_err = math.inf
-    quiet = 0
     for j in range(600):
         a = lo + j * half
         b = a + half
         r = _adaptive(counter, a, b, panel_spec, budget=60)
         previous, total = total, total + r.value
         eps.push(total)
-        # fast-decaying envelopes need no acceleration: stop on tiny panels
-        if abs(r.value) < 0.1 * spec.abs_tol:
-            quiet += 1
-            if quiet >= 3 and j >= 5:
-                tail_bound = 4.0 * abs(r.value) + spec.abs_tol * 0.5
-                return QuadratureResult(total, tail_bound, counter.count, True)
-        else:
-            quiet = 0
         if j >= 7:
             width = min(j + 1, eps.depth)
             est, eps_err = eps.estimate(width)

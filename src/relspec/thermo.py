@@ -48,11 +48,12 @@ like exp(-4 pi n a / beta).  In log Z the beta E_int terms cancel, so the
 two-point partition function is closed forms plus a finite sum.  The
 paper's real-axis routes, the Laurent parts (head + Lorentzian tails + Ci)
 and the quadrature log_eta, are the independent cross-checks in
-``verify``.
+``verify``.  log_eta is one mapped integral for either model: exp(-tau v)
+damps the cos(2av) tail of the two-point measure.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from scipy.special import exp1 as _exp1
@@ -60,8 +61,7 @@ from scipy.special import exp1 as _exp1
 from .models import (OnePointModel, SpectralMeasure, TwoPointModel,
                      one_point_spectral_measure, two_point_interaction,
                      two_point_spectral_measure)
-from .quad import (TIGHT, integrate_finite, integrate_to_infinity,
-                   require_converged)
+from .quad import TIGHT, integrate_to_infinity, require_converged
 from .zetareg import (LaurentData, one_point_laurent,
                       two_point_interaction_energy)
 
@@ -110,9 +110,11 @@ class ForceEstimate:
 def log_eta(e: SpectralMeasure, tau, spec=None):
     """log eta(tau) = int_0^inf log(1 - exp(-tau v)) e(v) dv, tau > 0.
 
-    Nonpositive whenever e >= 0.  The integrand has an integrable log
-    singularity at v = 0; on (0, 1) the substitution u = exp(-tau v) is
-    applied, the tail (1, inf) decays exponentially.
+    Nonpositive whenever e >= 0.  Two mapped quadratures: the head (0, 1)
+    in y = -log v, where the log singularity at v = 0 becomes a decaying
+    (log tau - y) exp(-y), and the tail (1, inf), where exp(-tau v) damps
+    the cos(2av) factor of a two-point measure.  The logarithm is taken
+    as log(-expm1(-tau v)), so tau v may lie far below the rounding of 1.
     """
     if not tau > 0:
         raise ValueError(f"log_eta needs tau > 0, got {tau!r}")
@@ -120,26 +122,20 @@ def log_eta(e: SpectralMeasure, tau, spec=None):
         return 0.0
     spec = spec or TIGHT
 
-    # (0, 1): v = -log(u)/tau
-    def head(u):
-        v = -math.log(u) / tau
-        return math.log1p(-u) * e.eval(v) / (tau * u)
-
-    res = integrate_finite(head, math.exp(-tau), 1.0, spec)
-    head_val = require_converged(res, "log_eta head")
-
-    period = e.oscillation_period
-    tail_spec = spec if period is None else replace(
-        spec, oscillation_period=period)
-
     def tail(v):
         x = tau * v
-        if x > 745.0:
+        if x == 0.0 or x > 745.0:
             return 0.0
-        return math.log1p(-math.exp(-x)) * e.eval(v)
+        return math.log(-math.expm1(-x)) * e.eval(v)
 
-    res = integrate_to_infinity(tail, 1.0, tail_spec)
-    tail_val = require_converged(res, "log_eta tail")
+    def head(y):
+        v = math.exp(-y)
+        return tail(v) * v
+
+    head_val = require_converged(integrate_to_infinity(head, 0.0, spec),
+                                 "log_eta head")
+    tail_val = require_converged(integrate_to_infinity(tail, 1.0, spec),
+                                 "log_eta tail")
     return head_val + tail_val
 
 
@@ -305,7 +301,9 @@ def two_point_log_eta(m: TwoPointModel, tau, spec=None):
     zetareg.two_point_interaction_energy; spec applies to E_int.  The sum
     takes about 3 tau/a terms.  Past _MAX_MATSUBARA_TERMS of them
     (tau > 3e4 a) the real-axis quadrature log_eta is used instead: its
-    integrand dies within v ~ 40/tau, so its cost does not grow with tau.
+    integrand dies within v ~ 40/tau, so its cost does not grow with tau,
+    and exp(-tau v) damps the cos(2av) tail, so no panel summation is
+    needed.
     """
     if not tau > 0:
         raise ValueError(f"log_eta needs tau > 0, got {tau!r}")

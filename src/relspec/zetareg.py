@@ -37,28 +37,30 @@ analytic for real s < 1/2 and free of the pole: the residue is
 The paper's real-axis route stays as two_point_laurent_parts, the
 independent cross-check: split at v = 1, subtract both Lorentzians from the
 tail and restore them in closed form (-2 alpha_j log(1 + (4 pi alpha_j)^2)
-at s = -1/2), and sum the oscillatory cos(2av) v^-2 tail of
-h2 = e - e1(alpha0) - e1(alpha1) by half-period panels.  The closed
-cosine-integral term 2 Ci(2a)/(pi a) of that tail is only reported.
+at s = -1/2), and integrate v h2, h2 = e - e1(alpha0) - e1(alpha1), over
+(1, inf).  v h2 decays only like cos(2av)/v, so this is the one integral
+that needs quad.integrate_oscillatory.  The closed cosine-integral term
+2 Ci(2a)/(pi a) of that tail is only reported.
 
 The two-point heat trace is the closed one-point traces plus the integral
 of exp(-v^2 t) h2(v), moved off the real axis onto the line Im v = a/t
 through the saddle of exp(-v^2 t + 2iva) (two_point_heat_trace).  There
 the Gaussian-times-phase factor is exp(-a^2/t) exp(-t x^2), so the
-integrand is smooth and the oscillatory engine is not needed;
-relative_heat_trace on the two-point measure is its real-axis
-cross-check.
+integrand is smooth.  relative_heat_trace on the two-point measure is its
+real-axis cross-check, one mapped integral as well: exp(-v^2 t) damps the
+cos(2av) tail.
 """
 
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .models import (OnePointModel, SpectralMeasure, TwoPointModel,
                      two_point_interaction, two_point_spectral_measure)
 from .quad import (TIGHT, QuadratureSpec, integrate_finite,
-                   integrate_to_infinity, require_converged)
+                   integrate_oscillatory, integrate_to_infinity,
+                   require_converged)
 from .specfun import cosine_integral, erfc_scaled
 
 # Accelerated oscillatory tails have an honest error floor around 1e-10, so
@@ -100,22 +102,19 @@ class LaurentData:
 def relative_heat_trace(e: SpectralMeasure, t, spec=None):
     """Tr(exp(-tL) - exp(-tL0)) = int_0^inf exp(-v^2 t) e(v) dv for t > 0.
 
-    The generic real-axis integral of a measure.  For two centers it walks
-    the oscillatory tail and is the cross-check of two_point_heat_trace.
+    The generic real-axis integral of a measure, one mapped quadrature:
+    exp(-v^2 t) damps the cos(2av) tail of a two-point measure too.  For
+    two centers it is the cross-check of two_point_heat_trace.
     """
     if not t > 0:
         raise ValueError(f"heat trace needs t > 0, got {t!r}")
     if e.is_zero:
         return 0.0
-    spec = spec or TIGHT
-    period = e.oscillation_period
-    if period is not None:
-        spec = replace(spec, oscillation_period=period)
 
     def integrand(v):
         return math.exp(-v * v * t) * e.eval(v)
 
-    res = integrate_to_infinity(integrand, 0.0, spec)
+    res = integrate_to_infinity(integrand, 0.0, spec or TIGHT)
     return require_converged(res, f"heat trace at t={t:g}")
 
 
@@ -248,8 +247,8 @@ def _lorentzian_tail(alpha, s, spec):
 def _interaction_tail(e, spec):
     """zA = int_1^inf v h2(v) dv, the s = -1/2 tail of a two-point measure.
 
-    h2 = e - e1(alpha0) - e1(alpha1) keeps the cos(2av) v^-2 tail, which
-    the engine sums by half-period panels.
+    h2 = e - e1(alpha0) - e1(alpha1) keeps the cos(2av) v^-2 tail, so
+    v h2 decays only like cos(2av)/v and is summed by half-period panels.
     """
     m = e.model
     c0 = (4.0 * math.pi * m.alpha0) ** 2
@@ -261,8 +260,7 @@ def _interaction_tail(e, spec):
             - 4.0 * m.alpha1 / (c1 + v2)
         return v * h2
 
-    osc_spec = replace(spec or _OSC, oscillation_period=e.oscillation_period)
-    res = integrate_to_infinity(f, 1.0, osc_spec)
+    res = integrate_oscillatory(f, 1.0, math.pi / m.a, spec or _OSC)
     return require_converged(res, "zA (interaction tail) at s=-0.5")
 
 

@@ -7,8 +7,9 @@ import pytest
 
 from relspec import verify
 from relspec.cli import build_parser, main
-from relspec.models import TwoPointModel
-from relspec.thermo import ThermalState, two_point_partition
+from relspec.models import OnePointModel, TwoPointModel
+from relspec.thermo import (ThermalState, one_point_log_eta_closed,
+                            two_point_partition)
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +98,28 @@ def test_eta_table(capsys):
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(-0.081061466795327258,
                                             abs=1e-9)
+
+
+def test_one_point_eta_at_small_tau(capsys):
+    # 2 alpha tau down to 2e-6 (and tau to 1e-17): exp(-tau v) rounds to 1
+    # near v = 0, where log(1 - exp(-tau v)) must not be taken as log1p(-1)
+    for argv in (("--alpha", "0.001", "--tau-min", "0.001",
+                  "--tau-max", "0.01"),
+                 ("--alpha", "1", "--tau-min", "1e-17",
+                  "--tau-max", "1e-16")):
+        code, out, err = run_cli(capsys, "eta", *argv, "--samples", "2")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 2
+        assert all(float(row[3]) <= 1e-10 for row in rows)
+    code, out, err = run_cli(capsys, "partition", "--alpha", "1",
+                             "--beta", "1e-6")
+    assert (code, err) == (0, "")
+    header, values = (line.split(",") for line in out.strip().split("\n"))
+    record = dict(zip(header, values))
+    assert record["explicit_check"] == "pass"
+    closed = one_point_log_eta_closed(OnePointModel(1.0), 1e-6)
+    assert abs(float(record["eta_log"]) - closed) <= 1e-10
 
 
 def test_partition_record(capsys):
@@ -376,12 +399,15 @@ def test_two_point_commands_stay_off_the_oscillatory_engine(capsys,
     def forbidden(*args, **kwargs):
         raise AssertionError("oscillatory real-axis tail reached")
 
-    monkeypatch.setattr("relspec.quad._oscillatory_tail", forbidden)
+    # zetareg binds the engine by name, so its binding is the one to patch
+    monkeypatch.setattr("relspec.zetareg.integrate_oscillatory", forbidden)
     for argv in (("zeta",), ("zeta", "--laurent"),
                  ("zeta", "--laurent", "--abs-tol", "1e-12",
                   "--rel-tol", "1e-12"),
                  ("eta",), ("partition", "--beta", "5"),
-                 ("heat-trace", "--t-min", "1e-8", "--log-spacing")):
+                 ("heat-trace", "--t-min", "1e-8", "--log-spacing"),
+                 # past 1e5 Matsubara terms: the real-axis log_eta
+                 ("eta", "--tau-min", "2e4", "--tau-max", "3e4")):
         code, out, err = run_cli(capsys, *argv, *_TWO)
         assert (code, err) == (0, ""), argv
         assert out.count("\n") >= 2

@@ -167,7 +167,6 @@ def test_one_point_zero_measure():
     e = one_point_spectral_measure(OnePointModel(0.0))
     assert e.is_zero
     assert e.eval(1.0) == 0.0
-    assert e.oscillation_period is None
 
 
 def test_one_point_profiles_match_eval():
@@ -238,11 +237,6 @@ def test_two_point_tail_residual_decay():
         tail = ((4 * math.pi * sigma * a - 2 * math.cos(2 * a * v))
                 / (math.pi * a * v ** 2))
         assert abs(e.eval(v) - tail) <= C / v ** 3
-
-
-def test_two_point_oscillation_period():
-    e = two_point_spectral_measure(TwoPointModel(1.0, 1.0, 2.5))
-    assert e.oscillation_period == pytest.approx(math.pi / 2.5)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relspec.models import (OnePointModel, TwoPointModel,
-                            one_point_spectral_measure,
-                            two_point_spectral_measure)
+                            one_point_spectral_measure)
 from relspec.quad import (MAX_TOL, IntegrandError, NonConvergenceError,
                           QuadratureSpec, _EpsilonDiagonal, integrate_finite,
-                          integrate_to_infinity, require_converged)
+                          integrate_oscillatory, integrate_to_infinity,
+                          require_converged)
 from relspec.specfun import cosine_integral
-from relspec.zetareg import relative_heat_trace, two_point_laurent_parts
+from relspec.zetareg import two_point_laurent_parts
 
 TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
 
@@ -90,8 +90,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=2e-3)
     assert QuadratureSpec(abs_tol=MAX_TOL, rel_tol=MAX_TOL).abs_tol == 1e-3
-    with pytest.raises(ValueError):
-        QuadratureSpec(oscillation_period=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +110,8 @@ def test_lorentzian_tail():
 
 def test_oscillatory_infinite_frozen_value():
     # integration-by-parts oracle: cos 2 - 2 (pi/2 - Si(2))
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11,
-                          oscillation_period=math.pi)
-    r = integrate_to_infinity(lambda v: math.cos(2 * v) / (v * v), 1.0, spec)
+    r = integrate_oscillatory(lambda v: math.cos(2 * v) / (v * v), 1.0,
+                              math.pi, TIGHT)
     assert r.converged
     assert r.value == pytest.approx(-0.34691353653154592831, abs=1e-10)
 
@@ -122,9 +119,8 @@ def test_oscillatory_infinite_frozen_value():
 @pytest.mark.parametrize("a", (0.5, 1.0, 2.0))
 def test_oscillatory_cosine_integral_identity(a):
     # int_1^inf cos(2av)/v dv = -Ci(2a)
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11,
-                          oscillation_period=math.pi / a)
-    r = integrate_to_infinity(lambda v: math.cos(2 * a * v) / v, 1.0, spec)
+    r = integrate_oscillatory(lambda v: math.cos(2 * a * v) / v, 1.0,
+                              math.pi / a, TIGHT)
     assert r.converged
     assert r.value == pytest.approx(-cosine_integral(2 * a), abs=1e-9)
 
@@ -150,15 +146,14 @@ def test_result_reports_evaluations():
 def test_converged_error_within_tolerance_contract():
     # converged implies error_estimate <= max(abs_tol, rel_tol |value|)
     e = one_point_spectral_measure(OnePointModel(0.25)).eval
-    osc = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8,
-                         oscillation_period=math.pi)
+    loose = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8)
     cases = [
         (integrate_finite(e, 0.0, 1.0, TIGHT), TIGHT),
         (integrate_to_infinity(e, 0.0, TIGHT), TIGHT),
         (integrate_to_infinity(
-            lambda v: math.exp(-v * v) * math.cos(2 * v), 0.0, osc), osc),
-        (integrate_to_infinity(
-            lambda v: math.cos(2 * v) / (v * v), 1.0, osc), osc),
+            lambda v: math.exp(-v * v) * math.cos(2 * v), 0.0, loose), loose),
+        (integrate_oscillatory(
+            lambda v: math.cos(2 * v) / (v * v), 1.0, math.pi, loose), loose),
     ]
     for r, spec in cases:
         assert r.converged
@@ -263,41 +258,23 @@ def test_epsilon_diagonal_matches_full_table(sums):
 
 # (value, error_estimate, evaluations, converged) as recorded when the
 # epsilon table was rebuilt in full after every panel, one case per exit of
-# the oscillatory tail; the diagonal must reproduce them exactly.
-_OSC = QuadratureSpec(oscillation_period=math.pi)
-
-
+# integrate_oscillatory; the diagonal must reproduce them exactly.
 def _frozen(r):
     return (r.value, r.error_estimate, r.evaluations, r.converged)
 
 
 def test_oscillatory_exit_wynn_converged():
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11,
-                          oscillation_period=math.pi)
-    r = integrate_to_infinity(lambda v: math.cos(2 * v) / (v * v), 1.0, spec)
+    r = integrate_oscillatory(lambda v: math.cos(2 * v) / (v * v), 1.0,
+                              math.pi, TIGHT)
     assert _frozen(r) == (-0.3469135365315447, 2.5337509867995323e-12, 330,
                           True)
-
-
-def test_oscillatory_exit_quiet_panels():
-    r = integrate_to_infinity(
-        lambda v: math.exp(-v * v) * math.cos(2 * v), 0.0, _OSC)
-    assert _frozen(r) == (0.3260246660866451, 5e-11, 195, True)
 
 
 def test_oscillatory_exit_no_finite_estimate():
     # linear partial sums: the table ends at column 1, so after 600
     # panels the last sum and its last step are returned
-    r = integrate_to_infinity(lambda v: 1.0, 0.0, _OSC)
+    r = integrate_oscillatory(lambda v: 1.0, 0.0, math.pi)
     assert _frozen(r) == (942.4777960769503, 1.570796326794948, 9000, False)
-
-
-def test_oscillatory_exit_600_panels():
-    e = two_point_spectral_measure(TwoPointModel(1.0, 1.0, 1.0))
-    with pytest.raises(NonConvergenceError) as err:
-        relative_heat_trace(e, 1e-6)
-    assert _frozen(err.value.result) == (
-        0.9860251254516673, 1.6458380547312856e-07, 9000, False)
 
 
 def test_oscillatory_exit_unconverged_best_estimate():

@@ -261,6 +261,14 @@ def test_two_point_heat_trace_frozen_references(alpha0, alpha1, a, t, ref):
     assert relative_heat_trace(e, t) == pytest.approx(ref, rel=1e-9)
 
 
+def test_real_axis_heat_trace_converges_at_small_t():
+    # exp(-v^2 t) damps the cos(2av) tail even at t = 1e-6, where the
+    # half-period panels of the oscillatory engine ran out after 600
+    m = TwoPointModel(1.0, 1.0, 1.0)
+    real_axis = relative_heat_trace(two_point_spectral_measure(m), 1e-6)
+    assert abs(real_axis - two_point_heat_trace(m, 1e-6)) <= 1e-10
+
+
 # 30-digit rows at a^2/t = 2 and 20 on the real axis, and at t = 1e-8 and
 # 1e-6, where the interaction part is bounded below 1e-30
 # (scripts/derive_reference_values.py)
