@@ -7,9 +7,11 @@ Run it after any change to the reference definitions and compare.
     python scripts/derive_reference_values.py
 
 The two-point heat-trace, zeta, finite-part and log eta rows integrate the
-real-axis measure e(v) with mpmath's own quadrature, so they stay
-independent of the library's imaginary-axis route and of its oscillatory
-engine; the script takes about fifteen minutes on one core.
+real-axis measure e(v) with mpmath's own quadrature (quadosc for the
+oscillatory tails), so they stay independent of the library, which takes
+every two-point quantity off the real axis (imaginary axis, the line
+Im v = a/t or the line Re v = 1); the script takes about fifteen minutes
+on one core.
 """
 
 from mpmath import (ceil, ci, cos, erfc, exp, inf, loggamma, log, mp, mpc,

@@ -5,11 +5,10 @@ from .models import (BoundStateRegimeError, OnePointModel,
                      SingularPointError, SpectralMeasure, TwoPointModel,
                      WrongSheetError, one_point_resolvent_trace,
                      one_point_spectral_measure, spectral_measure,
-                     two_point_interaction, two_point_resolvent_trace,
-                     two_point_spectral_measure)
+                     two_point_interaction, two_point_interaction_ratio,
+                     two_point_resolvent_trace, two_point_spectral_measure)
 from .quad import (IntegrandError, NonConvergenceError, QuadratureResult,
-                   QuadratureSpec, integrate_finite, integrate_oscillatory,
-                   integrate_to_infinity)
+                   QuadratureSpec, integrate_finite, integrate_to_infinity)
 from .specfun import cosine_integral, erfc_scaled
 from .thermo import (ForceEstimate, PartitionReport, ThermalState,
                      casimir_force, eta_series_check, log_eta,

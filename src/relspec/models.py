@@ -23,11 +23,10 @@ them.
 On the imaginary axis k = i xi the two-center determinant has no zeros and
 no oscillation; two_point_interaction gives its interaction factor, from
 which the production two-point zeta function, Laurent data, log eta and
-Casimir force are built.  The production two-point heat trace
-(zetareg.two_point_heat_trace) continues the same resolvent to the line
-Im k = a/t.  e(v) is the boundary value of the resolvent and serves the
-real-axis cross-checks; its cos(2av)/v^2 tail is damped in the heat trace
-and log eta and summed by zetareg only in the paper's Laurent route.
+Casimir force are built.  two_point_interaction_ratio continues the
+interaction part of e(v) into the upper half-plane, where the heat trace
+and the paper route's Laurent tail are taken off the oscillating real
+axis.  e(v), the boundary value, serves the real-axis cross-checks.
 """
 
 import cmath
@@ -118,9 +117,8 @@ class SpectralMeasure:
     """Pointwise-evaluable relative spectral measure of a model.
 
     eval(v) is finite and real for every v >= 0.  model is the generating
-    operator pair; continuation code reads the measure's asymptotics (the
-    Lorentzian subtraction, the cosine-integral term and the period pi/a
-    of the cos(2av) tail) from it.
+    operator pair; continuation code reads from it what pointwise values
+    do not carry: the Lorentzian couplings and the separation a.
     """
 
     eval: Callable[[float], float]
@@ -204,6 +202,28 @@ def two_point_interaction(m: TwoPointModel):
         return gx * (2.0 + 1.0 / (c0 + x) + 1.0 / (c1 + x)) / (1.0 - gx)
 
     return g, log_factor, dlog
+
+
+def two_point_interaction_ratio(m: TwoPointModel):
+    """R(x, y), x + iy = v a, with (2a/pi) Re(exp(2iva) R) = e(v)
+    - e1(alpha0; v) - e1(alpha1; v) for real v:
+
+        R = (w0 w1 + (w0 + w1)/2) / (w0 w1 (w0 w1 - exp(2iva))),
+
+    w_j = c_j - iva, c_j = 4 pi alpha_j a.  For Im v >= 0, |w0 w1| >= c0 c1
+    >= 4 > |exp(2iva)|, so R has no poles there.
+    """
+    c0 = 4.0 * math.pi * m.alpha0 * m.a
+    c1 = 4.0 * math.pi * m.alpha1 * m.a
+
+    def ratio(x, y):
+        w0 = complex(c0 + y, -x)
+        w1 = complex(c1 + y, -x)
+        q = w0 * w1
+        p = cmath.exp(complex(-2.0 * y, 2.0 * x))
+        return (q + 0.5 * (w0 + w1)) / (q * (q - p))
+
+    return ratio
 
 
 def one_point_spectral_measure(m: OnePointModel) -> SpectralMeasure:

@@ -8,15 +8,6 @@ Two entry points:
 * :func:`integrate_to_infinity` handles ``(lo, inf)`` for decaying
   integrands, mapped onto (0, 1) through ``v = lo + u/(1-u)``.
 
-* :func:`integrate_oscillatory` handles ``(lo, inf)`` for an integrand with
-  a persistent trigonometric factor of known period that decays too slowly
-  for the mapping (the conditionally convergent cos(2av)/v tail of the
-  paper's real-axis continuation).  It sums half-period panels, whose
-  contributions alternate in sign, and accelerates the partial sums with
-  Wynn's epsilon algorithm.  The epsilon table is kept as one last
-  diagonal, updated once per panel; the 50-wide and the half window read
-  prefixes of it, at O(window) cost.
-
 Non-convergence is reported through the ``converged`` flag on the result,
 never by raising: parameter sweeps must survive a single hard point.  Callers
 that need a hard failure use :func:`require_converged`.
@@ -65,7 +56,7 @@ class NonConvergenceError(RuntimeError):
                                f"error_estimate={result.error_estimate!r}")
 
 
-# Largest accepted tolerance; every internal spec is at most 2e-9.
+# Largest accepted tolerance; the internal defaults are at most 1e-8.
 MAX_TOL = 1e-3
 
 
@@ -167,23 +158,20 @@ def integrate_finite(f, lo, hi, spec: QuadratureSpec | None = None):
     spec = spec or QuadratureSpec()
     if not lo < hi:
         raise ValueError(f"integrate_finite requires lo < hi, got [{lo}, {hi}]")
-    return _adaptive(_EvalCounter(f), lo, hi, spec, budget=2000)
+    return _adaptive(_EvalCounter(f), lo, hi, spec)
 
 
-def _adaptive(counter, lo, hi, spec, budget):
-    """Heap-driven bisection of (lo, hi), at most budget splits."""
+def _adaptive(counter, lo, hi, spec):
+    """Heap-driven bisection of (lo, hi), at most 2,000 splits."""
     total, total_err = _gk15(counter, lo, hi)
     heap = [(-total_err, 0, lo, hi, total, total_err)]
     seq = 1
     splits = 0
-    while total_err > spec.tolerance_for(total) and splits < budget:
+    while total_err > spec.tolerance_for(total) and splits < 2000:
         _, _, a, b, v, e = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
-            # interval at floating point resolution, put it back and stop
-            heapq.heappush(heap, (-e, seq, a, b, v, e))
-            seq += 1
-            break
+            break  # interval at floating point resolution
         v1, e1 = _gk15(counter, a, mid)
         v2, e2 = _gk15(counter, mid, b)
         total += v1 + v2 - v
@@ -221,89 +209,4 @@ class _MappedTail:
 def integrate_to_infinity(f, lo, spec: QuadratureSpec | None = None):
     """Quadrature of f over (lo, inf); f must decay integrably."""
     mapped = _MappedTail(_EvalCounter(f), lo)
-    return _adaptive(mapped, 0.0, 1.0, spec or QuadratureSpec(), budget=2000)
-
-
-class _EpsilonDiagonal:
-    """Last diagonal of Wynn's epsilon table over the latest depth sums.
-
-    Entry k is epsilon_k of the last k + 1 sums, so the table of any window
-    of the latest sums ends in a prefix of it.  A zero or non-finite
-    difference ends a column: the diagonal is cut there, and the failed
-    entry's (start index, column) caps the depth of every window holding it.
-    """
-
-    __slots__ = ("depth", "diag", "count", "cuts")
-
-    def __init__(self, depth):
-        self.depth = depth
-        self.diag = []
-        self.count = 0
-        self.cuts = []
-
-    def push(self, s):
-        old, new, below = self.diag, [s], 0.0
-        for k in range(min(len(old), self.depth - 1)):
-            d = new[k] - old[k]
-            if d == 0.0 or not math.isfinite(d):
-                self.cuts.append((self.count - k - 1, k + 1))
-                break
-            new.append(below + 1.0 / d)
-            below = old[k]
-        self.diag = new
-        self.count += 1
-        self.cuts = [c for c in self.cuts if c[0] >= self.count - self.depth]
-
-    def estimate(self, width):
-        """(estimate, error) of the last width sums: the last finite
-        even-column entry and its distance to the one before."""
-        last = width - 1
-        for start, col in self.cuts:
-            if start >= self.count - width:
-                last = min(last, col - 1)
-        history = [self.diag[0]] + [x for x in self.diag[2:last + 1:2]
-                                    if math.isfinite(x)]
-        if len(history) >= 2:
-            return history[-1], abs(history[-1] - history[-2])
-        return history[0], math.inf
-
-
-def integrate_oscillatory(f, lo, period, spec: QuadratureSpec | None = None):
-    """Quadrature of f over (lo, inf), f = decaying envelope times a
-    trigonometric factor of the given period.
-
-    Panels of width period/2 give sign-alternating contributions once the
-    envelope dominates; Wynn's epsilon on the partial sums then converges
-    far beyond the walked range.  At most 600 panels are walked, each with
-    at most 60 bisections.
-    """
-    spec = spec or QuadratureSpec()
-    half = period / 2.0
-    counter = _EvalCounter(f)
-    panel_spec = QuadratureSpec(abs_tol=max(spec.abs_tol / 50.0, 1e-15),
-                                rel_tol=min(spec.rel_tol, 1e-10))
-    eps = _EpsilonDiagonal(50)
-    total = previous = 0.0
-    best = 0.0
-    best_err = math.inf
-    for j in range(600):
-        a = lo + j * half
-        b = a + half
-        r = _adaptive(counter, a, b, panel_spec, budget=60)
-        previous, total = total, total + r.value
-        eps.push(total)
-        if j >= 7:
-            width = min(j + 1, eps.depth)
-            est, eps_err = eps.estimate(width)
-            # the epsilon-table spread alone is overconfident; re-estimate
-            # on a half window and treat the drift as systematic error
-            est_half, _ = eps.estimate(width - width // 2)
-            err = 2.0 * max(eps_err, abs(est - est_half))
-            if math.isfinite(est) and err < best_err:
-                best, best_err = est, err
-            if best_err <= spec.tolerance_for(best):
-                return QuadratureResult(best, best_err, counter.count, True)
-    if best_err is math.inf:
-        best, best_err = total, abs(total - previous)
-    converged = best_err <= spec.tolerance_for(best)
-    return QuadratureResult(best, best_err, counter.count, converged)
+    return _adaptive(mapped, 0.0, 1.0, spec or QuadratureSpec())

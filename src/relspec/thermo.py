@@ -277,11 +277,12 @@ _MAX_MATSUBARA_TERMS = 100_000
 
 def _two_point_log_eta(m: TwoPointModel, tau, e_int, spec):
     # terms past x = 20 are below 5e-18 of the first:
-    # |log(1 - g(x))| <= exp(-2x) |log(1 - g(0))|
+    # |log(1 - g(x))| <= exp(-2x) |log(1 - g(0))|; 20/step itself
+    # overflows (or divides by zero) for tau near the float maximum
     step = 2.0 * math.pi * m.a / tau
-    count = int(20.0 / step)
-    if count > _MAX_MATSUBARA_TERMS:
+    if step * (_MAX_MATSUBARA_TERMS + 1) <= 20.0:
         return log_eta(two_point_spectral_measure(m), tau, spec)
+    count = int(20.0 / step)
     log_factor = two_point_interaction(m)[1]
     matsubara = math.fsum([0.5 * log_factor(0.0)]
                           + [log_factor(n * step)

@@ -38,9 +38,9 @@ The paper's real-axis route stays as two_point_laurent_parts, the
 independent cross-check: split at v = 1, subtract both Lorentzians from the
 tail and restore them in closed form (-2 alpha_j log(1 + (4 pi alpha_j)^2)
 at s = -1/2), and integrate v h2, h2 = e - e1(alpha0) - e1(alpha1), over
-(1, inf).  v h2 decays only like cos(2av)/v, so this is the one integral
-that needs quad.integrate_oscillatory.  The closed cosine-integral term
-2 Ci(2a)/(pi a) of that tail is only reported.
+(1, inf).  v h2 decays only like cos(2av)/v there, so it is taken on the
+line v = 1 + ix/a (models.two_point_interaction_ratio), where it decays
+like exp(-2x).  The cosine-integral term 2 Ci(2a)/(pi a) is only reported.
 
 The two-point heat trace is the closed one-point traces plus the integral
 of exp(-v^2 t) h2(v), moved off the real axis onto the line Im v = a/t
@@ -57,15 +57,11 @@ import warnings
 from dataclasses import dataclass
 
 from .models import (OnePointModel, SpectralMeasure, TwoPointModel,
-                     two_point_interaction, two_point_spectral_measure)
-from .quad import (TIGHT, QuadratureSpec, integrate_finite,
-                   integrate_oscillatory, integrate_to_infinity,
+                     two_point_interaction, two_point_interaction_ratio,
+                     two_point_spectral_measure)
+from .quad import (TIGHT, integrate_finite, integrate_to_infinity,
                    require_converged)
 from .specfun import cosine_integral, erfc_scaled
-
-# Accelerated oscillatory tails have an honest error floor around 1e-10, so
-# their internal default tolerance sits above it.
-_OSC = QuadratureSpec(abs_tol=2e-9, rel_tol=1e-9)
 
 
 class ContinuationRequiredError(ValueError):
@@ -136,14 +132,13 @@ def two_point_heat_trace(m: TwoPointModel, t, spec=None):
     """Two-point heat trace on the steepest-descent line Im v = a/t.
 
     K = K1(alpha0) + K1(alpha1) + K_int with the closed one-point traces
-    and, in w_j = c_j - iva, c_j = 4 pi alpha_j a, p = exp(2iva),
+    and R = models.two_point_interaction_ratio,
 
         K_int = (2a/pi) exp(-a^2/t) int_0^inf exp(-t x^2)
-                Re R(x + i a/t) dx,
-        R = (w0 w1 + (w0 + w1)/2) / (w0 w1 (w0 w1 - p)).
+                Re R(x + i a/t) dx.
 
-    On the real axis h2 = (2a/pi) Re(p R) is the measure minus its
-    one-point Lorentzians; w0 w1 - p has no zeros for Im v >= 0, so the
+    On the real axis h2 = (2a/pi) Re(exp(2iva) R) is the measure minus
+    its one-point Lorentzians; R is analytic for Im v >= 0, so the
     integral moves to the line through the saddle of exp(-v^2 t + 2iva),
     where that factor is exp(-a^2/t) exp(-t x^2) and nothing oscillates.
     Past a^2/t = 745 the prefactor underflows and K_int is exactly 0.
@@ -159,18 +154,11 @@ def two_point_heat_trace(m: TwoPointModel, t, spec=None):
     scale = 2.0 * a / (math.pi * root_t) * math.exp(-b)
     if scale == 0.0:
         return ones
-    # on the line, v = x + i a/t and w_j = c_j + a^2/t - i x a
-    re0 = 4.0 * math.pi * m.alpha0 * a + b
-    re1 = 4.0 * math.pi * m.alpha1 * a + b
+    ratio = two_point_interaction_ratio(m)
 
     def integrand(z):
-        xa = z * a / root_t
-        w0 = complex(re0, -xa)
-        w1 = complex(re1, -xa)
-        q = w0 * w1
-        p = cmath.exp(complex(-2.0 * b, 2.0 * xa))
-        r = (q + 0.5 * (w0 + w1)) / (q * (q - p))
-        return scale * math.exp(-z * z) * r.real
+        # v a = x a + i a^2/t on the line
+        return scale * math.exp(-z * z) * ratio(z * a / root_t, b).real
 
     res = integrate_to_infinity(integrand, 0.0, spec or TIGHT)
     return ones + require_converged(res, f"heat trace at t={t:g}")
@@ -244,24 +232,26 @@ def _lorentzian_tail(alpha, s, spec):
     return require_converged(res, f"Lorentzian tail at s={s:g}")
 
 
-def _interaction_tail(e, spec):
+def _interaction_tail(m: TwoPointModel, spec):
     """zA = int_1^inf v h2(v) dv, the s = -1/2 tail of a two-point measure.
 
-    h2 = e - e1(alpha0) - e1(alpha1) keeps the cos(2av) v^-2 tail, so
-    v h2 decays only like cos(2av)/v and is summed by half-period panels.
+    On the real axis v h2 = (2a/pi) Re(v exp(2iva) R) decays only like
+    cos(2av)/v.  R has no poles for Im v >= 0, so zA moves to the line
+    v = 1 + ix/a: (2/pi) int_0^inf Re(i v exp(2iva) R) dx, where
+    exp(2iva) = exp(2ia) exp(-2x).
     """
-    m = e.model
-    c0 = (4.0 * math.pi * m.alpha0) ** 2
-    c1 = (4.0 * math.pi * m.alpha1) ** 2
+    a = m.a
+    ratio = two_point_interaction_ratio(m)
+    phase = cmath.exp(2j * a)
 
-    def f(v):
-        v2 = v * v
-        h2 = e.eval(v) - 4.0 * m.alpha0 / (c0 + v2) \
-            - 4.0 * m.alpha1 / (c1 + v2)
-        return v * h2
+    def f(x):
+        # v a = a + ix on the line
+        return ((1j * complex(a, x) * phase * ratio(a, x)).real
+                * math.exp(-2.0 * x))
 
-    res = integrate_oscillatory(f, 1.0, math.pi / m.a, spec or _OSC)
-    return require_converged(res, "zA (interaction tail) at s=-0.5")
+    res = integrate_to_infinity(f, 0.0, spec or TIGHT)
+    return (2.0 / (math.pi * a)
+            * require_converged(res, "zA (interaction tail) at s=-0.5"))
 
 
 def _interaction_zeta(m: TwoPointModel, s, spec):
@@ -336,14 +326,15 @@ def two_point_laurent_parts(m: TwoPointModel, spec=None):
     integral), ci_term (2 Ci(2a)/(pi a), the closed finite part of the
     oscillatory tail), residue and finite_part.  The finite part is zeta0
     plus the Lorentzian and interaction tails; ci_term is split out of
-    z_a for reporting only.  This route walks the oscillatory real axis
-    and is the independent cross-check of two_point_laurent.
+    z_a for reporting only.  This route takes the head on the real axis
+    and is the independent cross-check of two_point_laurent.  The head
+    fails to converge at a >= 1e4, where e(v) has more than 3,000 periods
+    on (0, 1).
     """
-    e = two_point_spectral_measure(m)
-    zeta0 = _head(e, -0.5, spec)
+    zeta0 = _head(two_point_spectral_measure(m), -0.5, spec)
     tails = (_lorentzian_tail(m.alpha0, -0.5, spec)
              + _lorentzian_tail(m.alpha1, -0.5, spec)
-             + _interaction_tail(e, spec))
+             + _interaction_tail(m, spec))
     ci_term = 2.0 * cosine_integral(2.0 * m.a) / (math.pi * m.a)
     return {
         "zeta0": zeta0,

@@ -122,6 +122,15 @@ def test_one_point_eta_at_small_tau(capsys):
     assert abs(float(record["eta_log"]) - closed) <= 1e-10
 
 
+def test_explicit_check_is_relative_to_log_z(capsys):
+    # |log Z| = 1.03e8: a 1.5e-8 gap to the closed form is one ulp
+    code, out, err = run_cli(capsys, "partition", "--alpha", "1000",
+                             "--beta", "5623.413251903491")
+    assert (code, err) == (0, "")
+    header, values = (line.split(",") for line in out.strip().split("\n"))
+    assert dict(zip(header, values))["explicit_check"] == "pass"
+
+
 def test_partition_record(capsys):
     code, out, _ = run_cli(capsys, "partition", "--alpha", "0.25",
                            "--beta", "5")
@@ -394,13 +403,8 @@ _TWO = ("--model", "two-point", "--alpha0", "0.3", "--alpha1", "3",
         "--a", "0.5")
 
 
-def test_two_point_commands_stay_off_the_oscillatory_engine(capsys,
-                                                            monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("oscillatory real-axis tail reached")
-
-    # zetareg binds the engine by name, so its binding is the one to patch
-    monkeypatch.setattr("relspec.zetareg.integrate_oscillatory", forbidden)
+def test_two_point_commands_converge_at_corners(capsys):
+    # tight tolerances, t = 1e-8 and tau past 1e5 Matsubara terms
     for argv in (("zeta",), ("zeta", "--laurent"),
                  ("zeta", "--laurent", "--abs-tol", "1e-12",
                   "--rel-tol", "1e-12"),
@@ -411,6 +415,16 @@ def test_two_point_commands_stay_off_the_oscillatory_engine(capsys,
         code, out, err = run_cli(capsys, *argv, *_TWO)
         assert (code, err) == (0, ""), argv
         assert out.count("\n") >= 2
+
+
+def test_two_point_eta_near_float_maximum(capsys):
+    # 20/step overflows there, so the step count must not be taken first
+    code, out, err = run_cli(capsys, "eta", *_TWO, "--tau-min", "1e307",
+                             "--tau-max", "1.7e308", "--samples", "2")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(row[1])) for row in rows)
 
 
 @pytest.mark.parametrize("alpha0, alpha1, a", [

@@ -1,14 +1,19 @@
-"""Source hygiene: no module or script imports a name it never uses, and
-no private module-level helper of the package is left without a reader.
+"""Source hygiene: no module or script imports a name it never uses, no
+private module-level helper of the package is left without a reader, and
+every code name the README mentions exists.
 
 relspec/__init__.py is exempt from the import scan, since its imports are
 the package's public re-exports.
 """
 
 import ast
+import importlib
 import pathlib
+import re
 
 import pytest
+
+import relspec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "relspec").glob("*.py"))
@@ -90,3 +95,23 @@ def test_no_dead_private_helpers():
     readers = list(modules.values()) + [
         p.read_text(encoding="utf-8") for p in (ROOT / "scripts").glob("*.py")]
     assert dead_private_names(modules, readers) == []
+
+
+def readme_names():
+    """Backticked README tokens that name code: identifiers with an
+    underscore (and no dot), and script files (*.py)."""
+    tokens = re.findall(r"`([^`\n]+)`",
+                        (ROOT / "README.md").read_text(encoding="utf-8"))
+    names = sorted({t for t in tokens if "_" in t and "." not in t})
+    scripts = sorted({t.split()[-1] for t in tokens if t.endswith(".py")})
+    return names, scripts
+
+
+def test_readme_names_exist():
+    names, scripts = readme_names()
+    modules = [relspec] + [importlib.import_module(f"relspec.{p.stem}")
+                           for p in PACKAGE if p.name != "__init__.py"]
+    assert [n for n in names
+            if not any(hasattr(m, n) for m in modules)] == []
+    assert [s for s in scripts
+            if not (ROOT / "scripts" / pathlib.Path(s).name).is_file()] == []

@@ -8,6 +8,7 @@ from relspec.models import (BoundStateRegimeError, OnePointModel,
                             one_point_resolvent_trace,
                             one_point_spectral_measure,
                             two_point_interaction,
+                            two_point_interaction_ratio,
                             two_point_resolvent_trace,
                             two_point_spectral_measure, two_rim_measure)
 from relspec.quad import QuadratureSpec, integrate_to_infinity
@@ -139,6 +140,23 @@ def test_interaction_factor_bounded_at_constraint_edge():
         TwoPointModel(1.0, 1.0, 1.0000001 * a_edge))
     assert g(0.0) == pytest.approx(0.25, rel=1e-6)
     assert math.isfinite(log_factor(0.0)) and dlog(0.0) > 0
+
+
+@pytest.mark.parametrize("alpha0, alpha1, a", [
+    (1.0, 1.0, 1.0), (0.3, 3.0, 2.0), (1.0, 1.0, 7.0), (0.25, 1e4, 1.0),
+    (0.3, 3.0, 0.168)])
+def test_interaction_ratio_is_measure_minus_lorentzians(alpha0, alpha1, a):
+    # (2a/pi) Re(exp(2iva) R(va)) = e - e1(alpha0) - e1(alpha1), real v
+    m = TwoPointModel(alpha0, alpha1, a)
+    ratio = two_point_interaction_ratio(m)
+    e = two_point_spectral_measure(m).eval
+    e0 = one_point_spectral_measure(OnePointModel(alpha0)).eval
+    e1 = one_point_spectral_measure(OnePointModel(alpha1)).eval
+    for v in (0.0, 0.3, 1.0, 7.5, 60.0):
+        h2 = 2 * a / math.pi * (cmath.exp(2j * v * a)
+                                * ratio(v * a, 0.0)).real
+        scale = abs(e(v)) + e0(v) + e1(v)
+        assert abs(h2 - (e(v) - e0(v) - e1(v))) <= 1e-13 * scale, v
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,16 @@ def test_two_point_finite_part_frozen_references(alpha0, alpha1, a, ref):
         ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("alpha0, alpha1, a, ref", _FINITE_PART_REFERENCES)
+def test_two_point_laurent_parts_frozen_references(alpha0, alpha1, a, ref):
+    # the paper route, its interaction tail taken on the line Re v = 1
+    m = TwoPointModel(alpha0, alpha1, a)
+    tight = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+    for spec in (None, tight):
+        assert two_point_laurent_parts(m, spec)["finite_part"] \
+            == pytest.approx(ref, rel=1e-12)
+
+
 # 30-digit real-axis rows (scripts/derive_reference_values.py): closed
 # one-point parts plus the quadrature of exp(-v^2 t) h2(v)
 _HEAT_TRACE_REFERENCES = [
@@ -262,8 +272,7 @@ def test_two_point_heat_trace_frozen_references(alpha0, alpha1, a, t, ref):
 
 
 def test_real_axis_heat_trace_converges_at_small_t():
-    # exp(-v^2 t) damps the cos(2av) tail even at t = 1e-6, where the
-    # half-period panels of the oscillatory engine ran out after 600
+    # exp(-v^2 t) damps the cos(2av) tail even at t = 1e-6
     m = TwoPointModel(1.0, 1.0, 1.0)
     real_axis = relative_heat_trace(two_point_spectral_measure(m), 1e-6)
     assert abs(real_axis - two_point_heat_trace(m, 1e-6)) <= 1e-10
