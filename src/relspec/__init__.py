@@ -9,7 +9,7 @@ from .models import (BoundStateRegimeError, OnePointModel,
                      two_point_resolvent_trace, two_point_spectral_measure)
 from .quad import (IntegrandError, NonConvergenceError, QuadratureResult,
                    QuadratureSpec, integrate_finite, integrate_to_infinity)
-from .specfun import cosine_integral, erfc_scaled
+from .specfun import erfc_scaled
 from .thermo import (ForceEstimate, PartitionReport, ThermalState,
                      casimir_force, eta_series_check, log_eta,
                      one_point_log_eta_closed, one_point_log_z_closed,

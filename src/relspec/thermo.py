@@ -46,17 +46,15 @@ Phys. Rep. 353, 1):
 with the closed one-point forms and the n = 0 term halved; the terms fall
 like exp(-4 pi n a / beta).  In log Z the beta E_int terms cancel, so the
 two-point partition function is closed forms plus a finite sum.  The
-paper's real-axis routes, the Laurent parts (head + Lorentzian tails + Ci)
-and the quadrature log_eta, are the independent cross-checks in
-``verify``.  log_eta is one mapped integral for either model: exp(-tau v)
-damps the cos(2av) tail of the two-point measure.
+paper's real-axis routes, the Laurent parts (head + Lorentzian and
+interaction tails) and the quadrature log_eta, are the independent
+cross-checks in ``verify``.  log_eta is one mapped integral for either
+model: exp(-tau v) damps the cos(2av) tail of the two-point measure.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-from scipy.special import exp1 as _exp1
 
 from .models import (OnePointModel, SpectralMeasure, TwoPointModel,
                      one_point_spectral_measure, two_point_interaction,
@@ -177,6 +175,43 @@ def one_point_log_eta_closed(m: OnePointModel, tau):
     return -(mu + series / z)
 
 
+_EULER_GAMMA = 0.5772156649015329
+
+
+def _e1(x):
+    """Exponential integral E1(x) = int_x^inf exp(-t)/t dt for x > 0.
+
+    The power series (DLMF 6.6.2) up to x = 1, the continued fraction
+    (DLMF 6.9.1, even part, modified Lentz) above.
+    """
+    if x <= 1.0:
+        total = 0.0
+        term = 1.0
+        k = 1
+        while True:
+            term *= -x / k
+            total += term / k
+            if abs(term) <= 1e-17 * abs(total):
+                return -_EULER_GAMMA - math.log(x) - total
+            k += 1
+    # E1 = exp(-x) / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...)))
+    b = x + 1.0
+    c = 1e300  # modified Lentz starts C at 1/tiny
+    d = 1.0 / b
+    h = d
+    k = 1
+    while True:
+        a = -float(k * k)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        step = c * d
+        h *= step
+        if abs(step - 1.0) < 3e-16:  # within an ulp of 1
+            return h * math.exp(-x)
+        k += 1
+
+
 def eta_series_check(e: SpectralMeasure, tau, n_max, spec=None):
     """log eta through the thermal mode series, for cross-validation.
 
@@ -221,7 +256,7 @@ def eta_series_check(e: SpectralMeasure, tau, n_max, spec=None):
         x = mid * tau * v
         if x > 700.0:
             return 0.0
-        return e.eval(v) * float(_exp1(x))
+        return e.eval(v) * _e1(x)
 
     integral = require_converged(
         integrate_to_infinity(e1_integrand, 0.0, spec), "eta series tail")

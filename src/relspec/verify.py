@@ -126,8 +126,8 @@ def paper_route_forces(m, ells):
     """-dE_vac/da at each ell, by a central difference of the paper route.
 
     E_vac(a +- delta), delta = 3e-3 a, is assembled from the real-axis
-    Laurent data (head + Lorentzian + Ci), independently of the
-    imaginary-axis integral behind thermo.casimir_force.
+    Laurent data (head + Lorentzian and interaction tails), independently
+    of the imaginary-axis integral behind thermo.casimir_force.
     """
     delta = 3e-3 * m.a
     lo, hi = (zetareg.two_point_laurent_parts(

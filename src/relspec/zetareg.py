@@ -40,7 +40,7 @@ tail and restore them in closed form (-2 alpha_j log(1 + (4 pi alpha_j)^2)
 at s = -1/2), and integrate v h2, h2 = e - e1(alpha0) - e1(alpha1), over
 (1, inf).  v h2 decays only like cos(2av)/v there, so it is taken on the
 line v = 1 + ix/a (models.two_point_interaction_ratio), where it decays
-like exp(-2x).  The cosine-integral term 2 Ci(2a)/(pi a) is only reported.
+like exp(-2x).
 
 The two-point heat trace is the closed one-point traces plus the integral
 of exp(-v^2 t) h2(v), moved off the real axis onto the line Im v = a/t
@@ -61,7 +61,7 @@ from .models import (OnePointModel, SpectralMeasure, TwoPointModel,
                      two_point_spectral_measure)
 from .quad import (TIGHT, integrate_finite, integrate_to_infinity,
                    require_converged)
-from .specfun import cosine_integral, erfc_scaled
+from .specfun import erfc_scaled
 
 
 class ContinuationRequiredError(ValueError):
@@ -100,15 +100,19 @@ def relative_heat_trace(e: SpectralMeasure, t, spec=None):
 
     The generic real-axis integral of a measure, one mapped quadrature:
     exp(-v^2 t) damps the cos(2av) tail of a two-point measure too.  For
-    two centers it is the cross-check of two_point_heat_trace.
+    two centers it is the cross-check of two_point_heat_trace.  It is
+    taken in z = v sqrt(t), int_0^inf exp(-z^2) e(z/sqrt(t))/sqrt(t) dz,
+    so the mass of the integrand sits at z ~ 1 for every t and the nodes
+    of the mapped quadrature land on it.
     """
     if not t > 0:
         raise ValueError(f"heat trace needs t > 0, got {t!r}")
     if e.is_zero:
         return 0.0
+    root_t = math.sqrt(t)
 
-    def integrand(v):
-        return math.exp(-v * v * t) * e.eval(v)
+    def integrand(z):
+        return math.exp(-z * z) * e.eval(z / root_t) / root_t
 
     res = integrate_to_infinity(integrand, 0.0, spec or TIGHT)
     return require_converged(res, f"heat trace at t={t:g}")
@@ -322,24 +326,19 @@ def relative_zeta_in_strip(e: SpectralMeasure, s, spec=None):
 def two_point_laurent_parts(m: TwoPointModel, spec=None):
     """Pieces of the paper's real-axis continuation at s = -1/2.
 
-    Returns a dict with zeta0 (head integral), z_a (subtracted tail
-    integral), ci_term (2 Ci(2a)/(pi a), the closed finite part of the
-    oscillatory tail), residue and finite_part.  The finite part is zeta0
-    plus the Lorentzian and interaction tails; ci_term is split out of
-    z_a for reporting only.  This route takes the head on the real axis
-    and is the independent cross-check of two_point_laurent.  The head
-    fails to converge at a >= 1e4, where e(v) has more than 3,000 periods
-    on (0, 1).
+    Returns a dict with zeta0 (head integral), residue and finite_part.
+    The finite part is zeta0 plus the closed Lorentzian tails and the
+    interaction tail int_1^inf v h2 dv (_interaction_tail).  This route
+    takes the head on the real axis and is the independent cross-check of
+    two_point_laurent.  The head fails to converge at a >= 1e4, where e(v)
+    has more than 3,000 periods on (0, 1).
     """
     zeta0 = _head(two_point_spectral_measure(m), -0.5, spec)
     tails = (_lorentzian_tail(m.alpha0, -0.5, spec)
              + _lorentzian_tail(m.alpha1, -0.5, spec)
              + _interaction_tail(m, spec))
-    ci_term = 2.0 * cosine_integral(2.0 * m.a) / (math.pi * m.a)
     return {
         "zeta0": zeta0,
-        "z_a": tails - ci_term,
-        "ci_term": ci_term,
         "residue": 2.0 * (m.alpha0 + m.alpha1),
         "finite_part": zeta0 + tails,
     }

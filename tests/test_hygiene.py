@@ -1,6 +1,7 @@
 """Source hygiene: no module or script imports a name it never uses, no
-private module-level helper of the package is left without a reader, and
-every code name the README mentions exists.
+private module-level helper of the package is left without a reader, every
+code name the README mentions exists, and the package needs nothing beyond
+the standard library (scipy and numpy stay out of its import graph).
 
 relspec/__init__.py is exempt from the import scan, since its imports are
 the package's public re-exports.
@@ -8,8 +9,11 @@ the package's public re-exports.
 
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -115,3 +119,42 @@ def test_readme_names_exist():
             if not any(hasattr(m, n) for m in modules)] == []
     assert [s for s in scripts
             if not (ROOT / "scripts" / pathlib.Path(s).name).is_file()] == []
+
+
+HEAVY = ("scipy", "numpy")
+
+
+def imported_roots(source):
+    """Top-level package names that import statements in source load."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_scan_finds_a_heavy_import():
+    assert imported_roots("import scipy.special\nfrom numpy import pi\n"
+                          "from .quad import TIGHT\nimport math\n") == {
+        "scipy", "numpy", "math"}
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_no_scipy_or_numpy(path):
+    assert imported_roots(path.read_text(encoding="utf-8")) & set(HEAVY) \
+        == set()
+
+
+def test_cli_run_loads_no_scipy_or_numpy():
+    code = ("import sys, relspec.cli; relspec.cli.build_parser(); "
+            "relspec.cli.main(['verify']); "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            f"{HEAVY!r}))")
+    run = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

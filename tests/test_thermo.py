@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from relspec.models import (OnePointModel, TwoPointModel,
                             one_point_spectral_measure,
                             two_point_spectral_measure)
-from relspec.thermo import (ForceEstimate, ThermalState, casimir_force,
+from relspec.thermo import (ForceEstimate, ThermalState, _e1, casimir_force,
                             eta_series_check, log_eta,
                             one_point_log_eta_closed, one_point_log_z_closed,
                             one_point_partition, relative_partition,
@@ -131,6 +131,16 @@ def test_log_eta_domain():
 # ---------------------------------------------------------------------------
 # eta series
 # ---------------------------------------------------------------------------
+
+def test_e1_against_mpmath():
+    # series below x = 1, continued fraction above; log grid over [1e-8, 700]
+    span = math.log10(700.0) + 8.0
+    grid = [10.0 ** (-8.0 + span * i / 300) for i in range(301)]
+    with mpmath.workdps(30):
+        for x in grid + [0.999999, 1.0, 1.000001]:
+            exact = mpmath.e1(mpmath.mpf(x))
+            assert abs(_e1(x) - exact) <= 1e-13 * exact, x
+
 
 def test_eta_series_matches_direct_value():
     e = one_point_spectral_measure(OnePointModel(0.25))
