@@ -30,7 +30,7 @@ import warnings
 
 from .models import (BoundStateRegimeError, OnePointModel, TwoPointModel,
                      spectral_measure)
-from .quad import TIGHT, NonConvergenceError, QuadratureSpec
+from .quad import NonConvergenceError, QuadratureSpec
 from .thermo import (ThermalState, casimir_force, log_eta,
                      one_point_log_eta_closed, one_point_log_z_closed,
                      one_point_partition, two_point_log_eta,
@@ -175,12 +175,12 @@ def _model(args):
 
 def _quadrature_spec(args):
     """The spec from --abs-tol/--rel-tol, or None when neither is given."""
-    if args.abs_tol is None and args.rel_tol is None:
+    given = {name: getattr(args, name) for name in ("abs_tol", "rel_tol")
+             if getattr(args, name) is not None}
+    if not given:
         return None
-    abs_tol = TIGHT.abs_tol if args.abs_tol is None else args.abs_tol
-    rel_tol = TIGHT.rel_tol if args.rel_tol is None else args.rel_tol
     try:
-        return QuadratureSpec(abs_tol=abs_tol, rel_tol=rel_tol)
+        return QuadratureSpec(**given)
     except ValueError as exc:
         raise CliValidationError(str(exc)) from exc
 

@@ -56,7 +56,7 @@ class NonConvergenceError(RuntimeError):
                                f"error_estimate={result.error_estimate!r}")
 
 
-# Largest accepted tolerance; the internal defaults are at most 1e-8.
+# Largest accepted tolerance, far above the defaults (1e-12, 1e-11).
 MAX_TOL = 1e-3
 
 
@@ -70,8 +70,8 @@ class QuadratureSpec:
     print without an error bar.
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
+    abs_tol: float = 1e-12
+    rel_tol: float = 1e-11
 
     def __post_init__(self):
         if not (0 < self.abs_tol <= MAX_TOL and 0 < self.rel_tol <= MAX_TOL):
@@ -80,11 +80,6 @@ class QuadratureSpec:
 
     def tolerance_for(self, value):
         return max(self.abs_tol, self.rel_tol * abs(value))
-
-
-# Internal default for smooth integrals: they are cheap, so they run tighter
-# than the engine default.
-TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,9 @@ like exp(-4 pi n a / beta).  In log Z the beta E_int terms cancel, so the
 two-point partition function is closed forms plus a finite sum.  The
 paper's real-axis routes, the Laurent parts (head + Lorentzian and
 interaction tails) and the quadrature log_eta, are the independent
-cross-checks in ``verify``.  log_eta is one mapped integral for either
-model: exp(-tau v) damps the cos(2av) tail of the two-point measure.
+cross-checks in ``verify``.  log_eta and eta_series_check are one thermal
+integral int_0^inf K(tau v) e(v) dv, taken in w = max(1, tau/100) v so
+that its nodes reach the mass at v ~ 1/tau however large tau is.
 """
 
 import math
@@ -59,7 +60,7 @@ from typing import Optional
 from .models import (OnePointModel, SpectralMeasure, TwoPointModel,
                      one_point_spectral_measure, two_point_interaction,
                      two_point_spectral_measure)
-from .quad import TIGHT, integrate_to_infinity, require_converged
+from .quad import integrate_to_infinity, require_converged
 from .zetareg import (LaurentData, one_point_laurent,
                       two_point_interaction_energy)
 
@@ -105,36 +106,51 @@ class ForceEstimate:
     error_estimate: float
 
 
+def _thermal_integral(kernel, e: SpectralMeasure, tau, spec, piece):
+    """int_0^inf K(tau v) e(v) dv for a kernel K(x) with at most a log
+    singularity at x = 0 and exp(-x) decay.
+
+    Taken in w = r v, r = max(1, tau/100), so that past tau = 100 the mass
+    at v ~ 1/tau sits at w ~ 1/100, where the nodes reach it, rather than
+    between them.  Two mapped quadratures: the head w in (0, 1) in
+    y = -log w, where a log singularity becomes a decaying
+    (log(tau/r) - y) exp(-y), and the tail (1, inf), where exp(-tau v)
+    damps the cos(2av) factor of a two-point measure.  Their sum is
+    divided by r.
+    """
+    r = max(1.0, tau / 100.0)
+
+    def tail(w):
+        v = w / r
+        x = tau * v
+        if x == 0.0 or x > 745.0:
+            return 0.0
+        return kernel(x) * e.eval(v)
+
+    def head(y):
+        w = math.exp(-y)
+        return tail(w) * w
+
+    head_val = require_converged(integrate_to_infinity(head, 0.0, spec),
+                                 f"{piece} head")
+    tail_val = require_converged(integrate_to_infinity(tail, 1.0, spec),
+                                 f"{piece} tail")
+    return (head_val + tail_val) / r
+
+
 def log_eta(e: SpectralMeasure, tau, spec=None):
     """log eta(tau) = int_0^inf log(1 - exp(-tau v)) e(v) dv, tau > 0.
 
-    Nonpositive whenever e >= 0.  Two mapped quadratures: the head (0, 1)
-    in y = -log v, where the log singularity at v = 0 becomes a decaying
-    (log tau - y) exp(-y), and the tail (1, inf), where exp(-tau v) damps
-    the cos(2av) factor of a two-point measure.  The logarithm is taken
-    as log(-expm1(-tau v)), so tau v may lie far below the rounding of 1.
+    Nonpositive whenever e >= 0.  One thermal integral (_thermal_integral)
+    of the kernel log(1 - exp(-x)), taken as log(-expm1(-x)), so tau v may
+    lie far below the rounding of 1.
     """
     if not tau > 0:
         raise ValueError(f"log_eta needs tau > 0, got {tau!r}")
     if e.is_zero:
         return 0.0
-    spec = spec or TIGHT
-
-    def tail(v):
-        x = tau * v
-        if x == 0.0 or x > 745.0:
-            return 0.0
-        return math.log(-math.expm1(-x)) * e.eval(v)
-
-    def head(y):
-        v = math.exp(-y)
-        return tail(v) * v
-
-    head_val = require_converged(integrate_to_infinity(head, 0.0, spec),
-                                 "log_eta head")
-    tail_val = require_converged(integrate_to_infinity(tail, 1.0, spec),
-                                 "log_eta tail")
-    return head_val + tail_val
+    return _thermal_integral(lambda x: math.log(-math.expm1(-x)), e, tau,
+                             spec, "log_eta")
 
 
 # B_2k / (2k (2k - 1)), k = 1..12: Stirling's series for Binet's function
@@ -215,15 +231,17 @@ def _e1(x):
 def eta_series_check(e: SpectralMeasure, tau, n_max, spec=None):
     """log eta through the thermal mode series, for cross-validation.
 
-    Expanding the logarithm, log eta = -sum_{n>=1} (1/n) g(n tau) with
-    g(p) = int_0^inf exp(-p v) e(v) dv.  The terms decay only like n^-2
-    (the measure is finite at v = 0), so the sum through n_max is followed
-    by an Euler-Maclaurin estimate of the remainder,
+    Expanding the logarithm, log(1 - exp(-x)) = -sum_{n>=1} exp(-n x)/n.
+    The mode terms decay only like n^-2 (the measure is finite at v = 0),
+    so the sum through N = n_max is followed by the Euler-Maclaurin
+    remainder sum_{n>N} f(n) ~ int_{N+1/2}^inf f + f'(N + 1/2)/24.  By
+    linearity sum and remainder are one thermal integral (_thermal_integral,
+    two quadratures whatever N is) of the kernel, with m = N + 1/2,
 
-        sum_{n>N} f(n) ~ int_{N+1/2}^inf f(x) dx + f'(N + 1/2)/24,
+        S_N(x) = -[sum_{n<=N} exp(-n x)/n + E1(m x)
+                   - exp(-m x) (1/m^2 + x/m)/24].
 
-    whose integral term reduces to int e(v) E1((N+1/2) tau v) dv.  The
-    corrected value approaches log_eta as n_max grows and its residual
+    The corrected value approaches log_eta as n_max grows and its residual
     stays below the first omitted term.
     """
     if n_max < 1:
@@ -232,39 +250,14 @@ def eta_series_check(e: SpectralMeasure, tau, n_max, spec=None):
         raise ValueError(f"eta series needs tau > 0, got {tau!r}")
     if e.is_zero:
         return 0.0
-    spec = spec or TIGHT
-
-    def g(p):
-        def f(v):
-            x = p * v
-            return 0.0 if x > 745.0 else math.exp(-x) * e.eval(v)
-        return require_converged(
-            integrate_to_infinity(f, 0.0, spec), f"eta series g({p:g})")
-
-    def g_prime(p):
-        def f(v):
-            x = p * v
-            return 0.0 if x > 745.0 else -v * math.exp(-x) * e.eval(v)
-        return require_converged(
-            integrate_to_infinity(f, 0.0, spec), f"eta series g'({p:g})")
-
-    partial = -sum(g(n * tau) / n for n in range(1, n_max + 1))
-
     mid = n_max + 0.5
 
-    def e1_integrand(v):
-        x = mid * tau * v
-        if x > 700.0:
-            return 0.0
-        return e.eval(v) * _e1(x)
+    def kernel(x):
+        partial = sum(math.exp(-n * x) / n for n in range(1, n_max + 1))
+        return -(partial + _e1(mid * x)
+                 - math.exp(-mid * x) * (1.0 / (mid * mid) + x / mid) / 24.0)
 
-    integral = require_converged(
-        integrate_to_infinity(e1_integrand, 0.0, spec), "eta series tail")
-    gm = g(mid * tau)
-    gpm = g_prime(mid * tau)
-    f_prime = -gm / (mid * mid) + tau * gpm / mid
-    tail = -(integral + f_prime / 24.0)
-    return partial + tail
+    return _thermal_integral(kernel, e, tau, spec, "eta series")
 
 
 def relative_partition(e: SpectralMeasure, laurent: LaurentData,
@@ -391,7 +384,7 @@ def casimir_force(m: TwoPointModel, spec=None) -> ForceEstimate:
         g = kernel(x)
         return g * (2.0 * x + 2.0) / (1.0 - g)
 
-    res = integrate_to_infinity(integrand, 0.0, spec or TIGHT)
+    res = integrate_to_infinity(integrand, 0.0, spec)
     scale = 1.0 / (2.0 * math.pi * m.a * m.a)
     return ForceEstimate(
         value=-scale * require_converged(res, "casimir force"),

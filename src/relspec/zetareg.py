@@ -59,8 +59,7 @@ from dataclasses import dataclass
 from .models import (OnePointModel, SpectralMeasure, TwoPointModel,
                      two_point_interaction, two_point_interaction_ratio,
                      two_point_spectral_measure)
-from .quad import (TIGHT, integrate_finite, integrate_to_infinity,
-                   require_converged)
+from .quad import integrate_finite, integrate_to_infinity, require_converged
 from .specfun import erfc_scaled
 
 
@@ -114,7 +113,7 @@ def relative_heat_trace(e: SpectralMeasure, t, spec=None):
     def integrand(z):
         return math.exp(-z * z) * e.eval(z / root_t) / root_t
 
-    res = integrate_to_infinity(integrand, 0.0, spec or TIGHT)
+    res = integrate_to_infinity(integrand, 0.0, spec)
     return require_converged(res, f"heat trace at t={t:g}")
 
 
@@ -164,7 +163,7 @@ def two_point_heat_trace(m: TwoPointModel, t, spec=None):
         # v a = x a + i a^2/t on the line
         return scale * math.exp(-z * z) * ratio(z * a / root_t, b).real
 
-    res = integrate_to_infinity(integrand, 0.0, spec or TIGHT)
+    res = integrate_to_infinity(integrand, 0.0, spec)
     return ones + require_converged(res, f"heat trace at t={t:g}")
 
 
@@ -210,7 +209,7 @@ def _power_head(f, s, spec, piece):
     else:
         def integrand(x):
             return x ** (-2.0 * s) * f(x)
-    res = integrate_finite(integrand, 0.0, 1.0, spec or TIGHT)
+    res = integrate_finite(integrand, 0.0, 1.0, spec)
     return require_converged(res, f"{piece} at s={s:g}")
 
 
@@ -232,7 +231,7 @@ def _lorentzian_tail(alpha, s, spec):
         v2 = v * v
         return v ** (-2.0 * s) * (-4.0 * alpha * c2 / (v2 * (c2 + v2)))
 
-    res = integrate_to_infinity(f, 1.0, spec or TIGHT)
+    res = integrate_to_infinity(f, 1.0, spec)
     return require_converged(res, f"Lorentzian tail at s={s:g}")
 
 
@@ -253,7 +252,7 @@ def _interaction_tail(m: TwoPointModel, spec):
         return ((1j * complex(a, x) * phase * ratio(a, x)).real
                 * math.exp(-2.0 * x))
 
-    res = integrate_to_infinity(f, 0.0, spec or TIGHT)
+    res = integrate_to_infinity(f, 0.0, spec)
     return (2.0 / (math.pi * a)
             * require_converged(res, "zA (interaction tail) at s=-0.5"))
 
@@ -270,7 +269,7 @@ def _interaction_zeta(m: TwoPointModel, s, spec):
         return x ** (-2.0 * s) * dlog(x)
 
     head = _power_head(dlog, s, spec, "zeta_int (interaction head)")
-    res = integrate_to_infinity(tail, 1.0, spec or TIGHT)
+    res = integrate_to_infinity(tail, 1.0, spec)
     total = head + require_converged(
         res, f"zeta_int (interaction tail) at s={s:g}")
     return math.sin(math.pi * s) / math.pi * m.a ** (2.0 * s) * total
@@ -279,8 +278,7 @@ def _interaction_zeta(m: TwoPointModel, s, spec):
 def two_point_interaction_energy(m: TwoPointModel, spec=None):
     """E_int = (1/(2 pi a)) int_0^inf log(1 - g(x)) dx, the a-dependent
     part of R0/2 (one mapped quadrature on the imaginary axis)."""
-    res = integrate_to_infinity(two_point_interaction(m)[1], 0.0,
-                                spec or TIGHT)
+    res = integrate_to_infinity(two_point_interaction(m)[1], 0.0, spec)
     return (require_converged(res, "E_int (interaction energy)")
             / (2.0 * math.pi * m.a))
 

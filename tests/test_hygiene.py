@@ -1,6 +1,7 @@
 """Source hygiene: no module or script imports a name it never uses, no
 private module-level helper of the package is left without a reader, every
-code name the README mentions exists, and the package needs nothing beyond
+code name the README mentions exists, every quadrature result of the
+package passes the convergence gate, and the package needs nothing beyond
 the standard library (scipy and numpy stay out of its import graph).
 
 relspec/__init__.py is exempt from the import scan, since its imports are
@@ -101,6 +102,70 @@ def test_no_dead_private_helpers():
     assert dead_private_names(modules, readers) == []
 
 
+QUADRATURES = {"integrate_finite", "integrate_to_infinity"}
+GATE = {"require_converged"}
+
+
+def _calls(node, names):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (func.id if isinstance(func, ast.Name)
+            else getattr(func, "attr", None)) in names
+
+
+def ungated_quadratures(source):
+    """Lines of quadrature calls whose result skips require_converged.
+
+    A call is gated when it is an argument of require_converged, or is
+    assigned to a name that a require_converged call in the same function
+    reads.
+    """
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    ungated = []
+    for node in ast.walk(tree):
+        if not _calls(node, QUADRATURES):
+            continue
+        up = parent[node]
+        if _calls(up, GATE) and node in up.args:
+            continue
+        if isinstance(up, ast.Assign) and isinstance(up.targets[0], ast.Name):
+            scope = up
+            while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                scope = parent[scope]
+            name = up.targets[0].id
+            if any(_calls(n, GATE) and any(isinstance(a, ast.Name)
+                                           and a.id == name for a in n.args)
+                   for n in ast.walk(scope)):
+                continue
+        ungated.append(node.lineno)
+    return ungated
+
+
+def test_scan_finds_an_ungated_quadrature():
+    source = ("def inline(f):\n"
+              "    return require_converged(quad.integrate_finite(f, 0, 1))\n"
+              "def named(f):\n"
+              "    res = integrate_to_infinity(f, 0.0)\n"
+              "    return require_converged(res, 'piece'), res.evaluations\n"
+              "def unread(f):\n"
+              "    res = integrate_to_infinity(f, 0.0)\n"
+              "    return res.value\n"
+              "def elsewhere(f):\n"
+              "    return require_converged(res)\n"
+              "def bare(f):\n"
+              "    return integrate_finite(f, 0.0, 1.0).value\n")
+    assert ungated_quadratures(source) == [7, 12]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_quadrature_passes_the_convergence_gate(path):
+    assert ungated_quadratures(path.read_text(encoding="utf-8")) == []
+
+
 def readme_names():
     """Backticked README tokens that name code: identifiers with an
     underscore (and no dot), and script files (*.py)."""
@@ -137,7 +202,7 @@ def imported_roots(source):
 
 def test_scan_finds_a_heavy_import():
     assert imported_roots("import scipy.special\nfrom numpy import pi\n"
-                          "from .quad import TIGHT\nimport math\n") == {
+                          "from .quad import MAX_TOL\nimport math\n") == {
         "scipy", "numpy", "math"}
 
 

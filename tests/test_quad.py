@@ -11,15 +11,13 @@ from relspec.quad import (MAX_TOL, IntegrandError, NonConvergenceError,
                           QuadratureSpec, integrate_finite,
                           integrate_to_infinity, require_converged)
 
-TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
-
 
 # ---------------------------------------------------------------------------
 # finite interval
 # ---------------------------------------------------------------------------
 
 def test_finite_arctan():
-    r = integrate_finite(lambda v: 1.0 / (1.0 + v * v), 0.0, 1.0, TIGHT)
+    r = integrate_finite(lambda v: 1.0 / (1.0 + v * v), 0.0, 1.0)
     assert r.converged
     assert r.value == pytest.approx(math.pi / 4.0, abs=1e-12)
 
@@ -33,8 +31,7 @@ def test_finite_linear():
 def test_finite_oscillatory_segment():
     # frozen by the integration-by-parts oracle:
     # cos(2) - cos(20)/10 - 2 (Si(20) - Si(2))
-    r = integrate_finite(lambda v: math.cos(2 * v) / (v * v), 1.0, 10.0,
-                         TIGHT)
+    r = integrate_finite(lambda v: math.cos(2 * v) / (v * v), 1.0, 10.0)
     assert r.converged
     assert r.value == pytest.approx(-0.34261249120997156878, abs=1e-11)
 
@@ -88,18 +85,23 @@ def test_spec_validation():
     assert QuadratureSpec(abs_tol=MAX_TOL, rel_tol=MAX_TOL).abs_tol == 1e-3
 
 
+def test_default_spec_is_the_tight_one():
+    # the one default every library quadrature resolves spec=None to
+    assert QuadratureSpec() == QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
+
+
 # ---------------------------------------------------------------------------
 # semi-infinite interval
 # ---------------------------------------------------------------------------
 
 def test_gaussian_tail():
-    r = integrate_to_infinity(lambda v: math.exp(-v * v), 0.0, TIGHT)
+    r = integrate_to_infinity(lambda v: math.exp(-v * v), 0.0)
     assert r.converged
     assert r.value == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-12)
 
 
 def test_lorentzian_tail():
-    r = integrate_to_infinity(lambda v: 1.0 / (1.0 + v * v), 0.0, TIGHT)
+    r = integrate_to_infinity(lambda v: 1.0 / (1.0 + v * v), 0.0)
     assert r.converged
     assert r.value == pytest.approx(math.pi / 2.0, abs=1e-11)
 
@@ -111,7 +113,7 @@ def test_oscillatory_infinite_frozen_value():
         v = complex(1.0, x)
         return (1j * cmath.exp(2j * v) / (v * v)).real
 
-    r = integrate_to_infinity(f, 0.0, TIGHT)
+    r = integrate_to_infinity(f, 0.0)
     assert r.converged
     assert r.value == pytest.approx(-0.34691353653154592831, abs=1e-12)
 
@@ -124,16 +126,16 @@ def test_oscillatory_cosine_integral_identity(a):
         v = complex(1.0, x / a)
         return (1j / a * cmath.exp(2j * a * v) / v).real
 
-    r = integrate_to_infinity(f, 0.0, TIGHT)
+    r = integrate_to_infinity(f, 0.0)
     assert r.converged
     assert r.value == pytest.approx(-float(mpmath.ci(2 * a)), abs=1e-12)
 
 
 def test_additivity_spectral_measure():
     e = one_point_spectral_measure(OnePointModel(0.25))
-    whole = integrate_to_infinity(e.eval, 0.0, TIGHT)
-    head = integrate_finite(e.eval, 0.0, 1.0, TIGHT)
-    tail = integrate_to_infinity(e.eval, 1.0, TIGHT)
+    whole = integrate_to_infinity(e.eval, 0.0)
+    head = integrate_finite(e.eval, 0.0, 1.0)
+    tail = integrate_to_infinity(e.eval, 1.0)
     assert whole.converged and head.converged and tail.converged
     combined_err = (whole.error_estimate + head.error_estimate
                     + tail.error_estimate)
@@ -150,10 +152,11 @@ def test_result_reports_evaluations():
 def test_converged_error_within_tolerance_contract():
     # converged implies error_estimate <= max(abs_tol, rel_tol |value|)
     e = one_point_spectral_measure(OnePointModel(0.25)).eval
+    default = QuadratureSpec()
     loose = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8)
     cases = [
-        (integrate_finite(e, 0.0, 1.0, TIGHT), TIGHT),
-        (integrate_to_infinity(e, 0.0, TIGHT), TIGHT),
+        (integrate_finite(e, 0.0, 1.0), default),
+        (integrate_to_infinity(e, 0.0), default),
         (integrate_to_infinity(
             lambda v: math.exp(-v * v) * math.cos(2 * v), 0.0, loose), loose),
     ]
@@ -167,6 +170,6 @@ def test_converged_error_within_tolerance_contract():
 @given(st.floats(min_value=0.2, max_value=5.0),
        st.floats(min_value=0.1, max_value=4.0))
 def test_exponential_scaling_property(rate, upper):
-    r = integrate_finite(lambda v: math.exp(-rate * v), 0.0, upper, TIGHT)
+    r = integrate_finite(lambda v: math.exp(-rate * v), 0.0, upper)
     exact = (1.0 - math.exp(-rate * upper)) / rate
     assert r.value == pytest.approx(exact, rel=1e-10)

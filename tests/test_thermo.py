@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relspec import thermo
 from relspec.models import (OnePointModel, TwoPointModel,
-                            one_point_spectral_measure,
+                            one_point_spectral_measure, two_point_interaction,
                             two_point_spectral_measure)
+from relspec.quad import QuadratureSpec, integrate_to_infinity
 from relspec.thermo import (ForceEstimate, ThermalState, _e1, casimir_force,
                             eta_series_check, log_eta,
                             one_point_log_eta_closed, one_point_log_z_closed,
@@ -115,6 +117,21 @@ def test_log_eta_negative_by_quadrature():
         assert log_eta(e, tau) < 0.0
 
 
+def test_log_eta_within_tolerance_on_wide_grid():
+    # the mass of log(1 - exp(-tau v)) e(v) sits at v ~ 1/tau; in v no node
+    # of the tail map lands on it at large tau (alpha = 0.03, tau = 3.2e7
+    # read -2.0e-14 against the closed -4.4e-8)
+    for spec in (QuadratureSpec(), QuadratureSpec(1e-12, 1e-12)):
+        for alpha in (1e-3, 0.03, 1.0, 30.0, 1e4):
+            m = OnePointModel(alpha)
+            e = one_point_spectral_measure(m)
+            for k in range(-24, 25):
+                tau = 10.0 ** (k / 2)
+                closed = one_point_log_eta_closed(m, tau)
+                assert abs(log_eta(e, tau, spec) - closed) <= \
+                    spec.tolerance_for(closed), (spec, alpha, tau)
+
+
 def test_log_eta_zero_measure():
     e = one_point_spectral_measure(OnePointModel(0.0))
     assert log_eta(e, 1.0) == 0.0
@@ -156,7 +173,6 @@ def test_eta_series_two_point():
 
 def test_eta_series_remainder_bound():
     # the corrected partial sums sit far inside the first omitted term
-    from relspec.quad import QuadratureSpec, integrate_to_infinity
     e = one_point_spectral_measure(OnePointModel(0.25))
     direct = log_eta(e, 2.0)
     spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
@@ -182,6 +198,36 @@ def test_eta_series_large_tau_single_term():
     assert abs(eta_series_check(e, 1500.0, 1)) < 2e-4
     assert abs(eta_series_check(e, 1500.0, 1)) < abs(
         eta_series_check(e, 150.0, 1))
+
+
+@pytest.mark.parametrize("n_max", (1, 5))
+@pytest.mark.parametrize("tau", (1e4, 1e6, 1e8))
+def test_eta_series_at_large_tau_within_first_omitted_term(tau, n_max):
+    # the first omitted term is about e(0) / ((N + 1)^2 tau),
+    # e(0) = 1/(4 pi^2 alpha); it read about 0 where the mass at
+    # v ~ 1/tau fell between the nodes
+    m = OnePointModel(0.25)
+    value = eta_series_check(one_point_spectral_measure(m), tau, n_max)
+    bound = 1.0 / (4.0 * math.pi ** 2 * m.alpha) / ((n_max + 1) ** 2 * tau)
+    assert abs(value - one_point_log_eta_closed(m, tau)) <= bound
+
+
+def test_eta_series_takes_two_quadratures(monkeypatch):
+    # the partial sum and its remainder are one kernel, so the cost does
+    # not grow with n_max
+    results = []
+
+    def counted(f, lo, spec=None):
+        results.append(integrate_to_infinity(f, lo, spec))
+        return results[-1]
+
+    monkeypatch.setattr(thermo, "integrate_to_infinity", counted)
+    e = one_point_spectral_measure(OnePointModel(0.25))
+    for n_max in (1, 50):
+        results.clear()
+        eta_series_check(e, 2.0, n_max)
+        assert len(results) == 2
+    assert sum(r.evaluations for r in results) <= 400
 
 
 def test_eta_series_validation():
@@ -349,6 +395,19 @@ def test_two_point_log_eta_at_large_tau():
     assert two_point_log_eta(m, 1e9) == log_eta(e, 1e9)
     assert two_point_partition(m, ThermalState(1e9)).eta_log == log_eta(
         e, 1e9)
+
+
+@pytest.mark.parametrize("tau", (1e8, 1e9))
+def test_two_point_log_eta_past_the_matsubara_cap(tau):
+    # the Euler-Maclaurin form of the Matsubara remainder: with h = 2 pi a/tau
+    # and L = log(1 - g), sum'_{n>=0} L(n h) - (1/h) int_0^inf L dx
+    # = -(h/12) L'(0) + O(h^3); it read -1.2e-15 against -9.05e-10
+    m = TwoPointModel(1.0, 1.0, 1.0)
+    h = 2.0 * math.pi * m.a / tau
+    reference = (2.0 * one_point_log_eta_closed(OnePointModel(1.0), tau)
+                 - h / 12.0 * two_point_interaction(m)[2](0.0))
+    assert abs(two_point_log_eta(m, tau) - reference) <= \
+        1e-12 * abs(reference)
 
 
 def test_two_point_log_z_frozen_value():

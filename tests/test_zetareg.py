@@ -6,7 +6,7 @@ import pytest
 from relspec.models import (OnePointModel, TwoPointModel,
                             one_point_spectral_measure,
                             two_point_spectral_measure)
-from relspec.quad import TIGHT, NonConvergenceError, QuadratureSpec
+from relspec.quad import NonConvergenceError, QuadratureSpec
 from relspec.zetareg import (ContinuationRequiredError, LaurentData,
                              ProbeInconsistencyError, ZetaPoleError,
                              numeric_laurent_probe,
@@ -43,7 +43,7 @@ def test_heat_trace_within_tight_on_wide_grid():
             t = 10.0 ** (k / 2)
             closed = one_point_heat_trace_closed(m, t)
             assert abs(relative_heat_trace(e, t) - closed) <= \
-                TIGHT.tolerance_for(closed), (alpha, t)
+                QuadratureSpec().tolerance_for(closed), (alpha, t)
 
 
 def test_heat_trace_small_t_limit():
