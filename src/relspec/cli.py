@@ -11,7 +11,8 @@ path that cannot be written and an unknown config key included), 3
 numerical non-convergence.  Library warnings go to stderr as one
 'warning: <message>' line each, on every call.
 
-Each flag's default is declared once, on its argument in build_parser.
+Each flag's default is declared once, on its argument in build_parser,
+which builds every command's flags; a run builds only its own command's.
 --config names a flat JSON object keyed by flag names with underscores;
 its values become the command's parser defaults, so flags override the
 file and the file overrides the built-in defaults.  A config value must
@@ -62,44 +63,46 @@ def _add_common(sub):
     sub.add_argument("--config")
 
 
-def build_parser():
+def build_parser(command=None):
+    """The relspec parser.  Every subcommand is listed, but only the one
+    named by command gets its flags; with command None, every one does."""
     parser = argparse.ArgumentParser(
         prog="relspec",
         description="Relative spectral functions and zeta-regularized "
                     "thermodynamics for point interactions.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary):
+    def add(name, summary, own_flags=None):
         sub = subs.add_parser(name, help=summary, allow_abbrev=False)
-        _add_common(sub)
-        return sub
+        if command in (None, name):
+            _add_common(sub)
+            if own_flags:
+                own_flags(sub)
 
-    def table(name, summary, var, lo, hi):
-        """A command tabulating over --<var>-min..--<var>-max."""
-        sub = command(name, summary)
-        sub.add_argument(f"--{var}-min", type=float, default=lo)
-        sub.add_argument(f"--{var}-max", type=float, default=hi)
-        sub.add_argument("--samples", type=int, default=25)
-        return sub
+    def table(var, lo, hi, switch=None, count="--samples", n=25):
+        """Flags of a command tabulating over --<var>-min..--<var>-max."""
+        def own_flags(sub):
+            sub.add_argument(f"--{var}-min", type=float, default=lo)
+            sub.add_argument(f"--{var}-max", type=float, default=hi)
+            sub.add_argument(count, type=int, default=n)
+            if switch:
+                sub.add_argument(switch, action="store_true")
+        return own_flags
 
-    table("spectral-measure", "tabulate the relative spectral measure e(v)",
-          "v", 0.0, 10.0)
-    p = table("heat-trace", "tabulate the relative heat trace",
-              "t", 1e-3, 10.0)
-    p.add_argument("--log-spacing", action="store_true")
-    p = table("zeta", "tabulate the relative zeta function or emit its "
-                      "Laurent data at s = -1/2", "s", -0.45, 0.45)
-    p.add_argument("--laurent", action="store_true")
-    table("eta", "tabulate the relative eta logarithm", "tau", 0.5, 5.0)
-    command("partition", "partition function and vacuum energy")
-    p = command("casimir", "sweep the Casimir force over the separation of "
-                           "a two-point model")
-    p.add_argument("--a-min", type=float, default=1.0)
-    p.add_argument("--a-max", type=float, default=10.0)
-    p.add_argument("--steps", type=int, default=10)
-    p = command("verify", "run the internal consistency suite")
-    p.add_argument("--inject-failure", action="store_true",
-                   help=argparse.SUPPRESS)
+    add("spectral-measure", "tabulate the relative spectral measure e(v)",
+        table("v", 0.0, 10.0))
+    add("heat-trace", "tabulate the relative heat trace",
+        table("t", 1e-3, 10.0, "--log-spacing"))
+    add("zeta", "tabulate the relative zeta function or emit its Laurent "
+                "data at s = -1/2", table("s", -0.45, 0.45, "--laurent"))
+    add("eta", "tabulate the relative eta logarithm", table("tau", 0.5, 5.0))
+    add("partition", "partition function and vacuum energy")
+    add("casimir", "sweep the Casimir force over the separation of a "
+                   "two-point model", table("a", 1.0, 10.0, count="--steps",
+                                            n=10))
+    add("verify", "run the internal consistency suite",
+        lambda sub: sub.add_argument("--inject-failure", action="store_true",
+                                     help=argparse.SUPPRESS))
     return parser
 
 
@@ -124,7 +127,7 @@ def _check_config_value(key, value, action):
             f"{', '.join(action.choices)}, got {json.dumps(value)}")
 
 
-def _apply_config(parser, argv, args):
+def _apply_config(argv, args):
     """Parse argv again with the --config file's values as the command's
     defaults, so that flags override the file and the file overrides the
     built-in defaults.
@@ -139,6 +142,7 @@ def _apply_config(parser, argv, args):
         raise CliValidationError(f"cannot read config file: {exc}")
     if not isinstance(values, dict):
         raise CliValidationError("config file must hold a JSON object")
+    parser = build_parser()
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
     sub = commands[args.command]
@@ -427,15 +431,19 @@ def _show_warning(message, *_):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option value, so the first token that
+    # is no option names the subcommand argparse runs, if it runs one
+    named = next((a for a in argv if not a.startswith("-")), None)
     # entering catch_warnings also clears Python's once-per-location
     # registry, so a repeated in-process call reports its warnings again
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
-        parser = build_parser()
+        parser = build_parser(named if named in _COMMANDS else None)
         args = parser.parse_args(argv)
         try:
             if args.config:
-                args = _apply_config(parser, argv, args)
+                args = _apply_config(argv, args)
             return _COMMANDS[args.command](args)
         except (CliValidationError, BoundStateRegimeError,
                 ContinuationRequiredError, ZetaPoleError) as exc:

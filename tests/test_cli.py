@@ -1,15 +1,21 @@
+import argparse
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
-from relspec import verify
+from relspec import cli, verify
 from relspec.cli import build_parser, main
 from relspec.models import OnePointModel, TwoPointModel
 from relspec.thermo import (ThermalState, one_point_log_eta_closed,
                             two_point_partition)
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -331,10 +337,87 @@ _OWN_KEYS = {
 
 @pytest.mark.parametrize("command", sorted(_OWN_KEYS))
 def test_parsed_defaults_of_every_command(command):
-    parsed = vars(build_parser().parse_args([command]))
     expected = {key: _EXPECTED_DEFAULTS.get(key)
                 for key in _COMMON_KEYS + _OWN_KEYS[command]}
-    assert parsed == {"command": command, **expected}
+    for parser in (build_parser(), build_parser(command)):
+        parsed = vars(parser.parse_args([command]))
+        assert parsed == {"command": command, **expected}
+
+
+# ---------------------------------------------------------------------------
+# a run builds only its own subcommand's flags
+# ---------------------------------------------------------------------------
+
+_SWEEP = ["casimir", "--model", "two-point", "--alpha0", "1", "--alpha1",
+          "1", "--a-min", "0.2", "--a-max", "2", "--steps", "3"]
+# help, usage errors and one run of each command
+_SEEN_ARGVS = [
+    [], ["-h"], ["--help"], ["--he"], ["casimir", "-h"], ["zeta", "--help"],
+    ["verify", "-h"], ["foo"], ["-1"], ["--", "casimir"], ["-x", "casimir"],
+    ["casimir", "--he"], _SWEEP + ["--bogus"], ["zeta", "--step", "3"],
+    ["eta", "--alpha", "1", "--samples", "2.5"],
+    ["eta", "--model", "three-point"],
+    ["spectral-measure", "--alpha", "0.25", "--samples", "3"],
+    ["heat-trace", "--alpha", "0.25", "--samples", "3", "--log-spacing"],
+    ["zeta", "--alpha", "0.25", "--samples", "3"],
+    ["eta", "--model", "two-point", "--alpha0", "1", "--alpha1", "1",
+     "--a", "1", "--samples", "3"],
+    ["partition", "--alpha", "0.3", "--beta", "2"],
+    _SWEEP,
+    ["verify"],
+]
+
+
+def run_seen(capsys, argv):
+    """(exit code, stdout, stderr) of main, help and usage exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _SEEN_ARGVS,
+                         ids=lambda argv: " ".join(argv) or "no-args")
+def test_per_command_parser_changes_nothing_seen(monkeypatch, capsys, argv):
+    seen = run_seen(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert run_seen(capsys, argv) == seen
+
+
+@pytest.mark.parametrize("argv, own_flags",
+                         [(_SWEEP, 15), (["verify"], 13)],
+                         ids=["casimir", "verify"])
+def test_a_run_builds_only_its_own_flags(monkeypatch, capsys, argv,
+                                         own_flags):
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    # 8 -h actions: the top-level parser's and one per subcommand's
+    assert len(calls) == 8 + own_flags
+
+
+def test_console_entry_point_reads_sys_argv(monkeypatch, capsys):
+    expected = run_cli(capsys, *_SWEEP)
+    assert expected[0] == 0
+    monkeypatch.setattr(sys, "argv", ["relspec"] + _SWEEP)
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    run = subprocess.run([sys.executable, "-m", "relspec.cli", *_SWEEP],
+                         cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +601,7 @@ def test_verify_injected_failure(capsys):
 # README
 # ---------------------------------------------------------------------------
 
-_README = (pathlib.Path(__file__).resolve().parent.parent
-           / "README.md").read_text(encoding="utf-8")
+_README = (ROOT / "README.md").read_text(encoding="utf-8")
 _README_CLI = _README.split("## CLI", 1)[1].split("\n## ", 1)[0]
 _README_COMMANDS = [line.split()[1:]
                     for line in _README_CLI.split("```")[1].splitlines()

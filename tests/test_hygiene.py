@@ -1,13 +1,15 @@
 """Source hygiene: no module or script imports a name it never uses, no
 private module-level helper of the package is left without a reader, every
 code name the README mentions exists, every quadrature result of the
-package passes the convergence gate, and the package needs nothing beyond
-the standard library (scipy and numpy stay out of its import graph).
+package passes the convergence gate, the CLI's command table and its parser
+name the same commands, and the package needs nothing beyond the standard
+library (scipy and numpy stay out of its import graph).
 
 relspec/__init__.py is exempt from the import scan, since its imports are
 the package's public re-exports.
 """
 
+import argparse
 import ast
 import importlib
 import os
@@ -19,6 +21,7 @@ import sys
 import pytest
 
 import relspec
+from relspec import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "relspec").glob("*.py"))
@@ -184,6 +187,16 @@ def test_readme_names_exist():
             if not any(hasattr(m, n) for m in modules)] == []
     assert [s for s in scripts
             if not (ROOT / "scripts" / pathlib.Path(s).name).is_file()] == []
+
+
+def test_command_table_matches_the_parser():
+    # main builds the flags of the command a _COMMANDS key names, so the
+    # table and the parser must name the same commands
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(cli._COMMANDS) == set(subparsers.choices)
+    handlers = {name for name in vars(cli) if name.startswith("cmd_")}
+    assert handlers == {f.__name__ for f in cli._COMMANDS.values()}
 
 
 HEAVY = ("scipy", "numpy")
