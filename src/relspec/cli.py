@@ -24,6 +24,7 @@ taken for --steps.
 """
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -430,6 +431,21 @@ def _show_warning(message, *_):
     sys.stderr.write(f"warning: {message}\n")
 
 
+def _parse_args(argv, command):
+    """build_parser(command).parse_args(argv) with garbage collection
+    paused.  argparse links each action back to its parser, so only the
+    collector frees a parser; a collection while it is alive would move
+    it to an older generation, where it outlives the call until a full
+    collection."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return build_parser(command).parse_args(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top-level parser takes no option value, so the first token that
@@ -439,8 +455,7 @@ def main(argv=None):
     # registry, so a repeated in-process call reports its warnings again
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
-        parser = build_parser(named if named in _COMMANDS else None)
-        args = parser.parse_args(argv)
+        args = _parse_args(argv, named if named in _COMMANDS else None)
         try:
             if args.config:
                 args = _apply_config(argv, args)

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import math
 import os
@@ -404,6 +405,31 @@ def test_a_run_builds_only_its_own_flags(monkeypatch, capsys, argv,
     capsys.readouterr()
     # 8 -h actions: the top-level parser's and one per subcommand's
     assert len(calls) == 8 + own_flags
+
+
+def test_parser_is_freed_by_a_young_collection(capsys):
+    # with a collection at every allocation, a parser alive during one
+    # would reach the oldest generation and survive gc.collect(1)
+    gc.collect()
+    thresholds = gc.get_threshold()
+    gc.set_threshold(1, 1, 10**9)
+    try:
+        assert main(_SWEEP) == 0
+    finally:
+        gc.set_threshold(*thresholds)
+    capsys.readouterr()
+    gc.collect(1)
+    assert [o for o in gc.get_objects()
+            if isinstance(o, argparse.ArgumentParser)
+            and o.prog.startswith("relspec")] == []
+    assert gc.isenabled()
+    gc.disable()  # a caller's disabled collector stays disabled
+    try:
+        assert main(_SWEEP) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_console_entry_point_reads_sys_argv(monkeypatch, capsys):
