@@ -431,12 +431,16 @@ def _show_warning(message, *_):
     sys.stderr.write(f"warning: {message}\n")
 
 
-def _parse_args(argv, command):
-    """build_parser(command).parse_args(argv) with garbage collection
-    paused.  argparse links each action back to its parser, so only the
-    collector frees a parser; a collection while it is alive would move
-    it to an older generation, where it outlives the call until a full
-    collection."""
+def _parse_args(argv):
+    """Parse argv with the flags of the subcommand it names, and with
+    garbage collection paused.  argparse links each action back to its
+    parser, so only the collector frees a parser; a collection while it
+    is alive would move it to an older generation, where it outlives the
+    call until a full collection."""
+    # the top-level parser takes no option value, so the first token that
+    # is no option names the subcommand argparse runs, if it runs one
+    named = next((a for a in argv if not a.startswith("-")), None)
+    command = named if named in _COMMANDS else None
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -448,14 +452,11 @@ def _parse_args(argv, command):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no option value, so the first token that
-    # is no option names the subcommand argparse runs, if it runs one
-    named = next((a for a in argv if not a.startswith("-")), None)
     # entering catch_warnings also clears Python's once-per-location
     # registry, so a repeated in-process call reports its warnings again
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
-        args = _parse_args(argv, named if named in _COMMANDS else None)
+        args = _parse_args(argv)
         try:
             if args.config:
                 args = _apply_config(argv, args)
