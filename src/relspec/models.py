@@ -31,6 +31,7 @@ axis.  e(v), the boundary value, serves the real-axis cross-checks.
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -238,9 +239,15 @@ def one_point_spectral_measure(m: OnePointModel) -> SpectralMeasure:
         return SpectralMeasure(eval=lambda v: 0.0, model=m)
     c = 4.0 * math.pi * alpha
     c2 = c * c
-
-    def eval_one(v):
-        return 4.0 * alpha / (c2 + v * v)
+    if c2 < sys.float_info.min:
+        # c^2 underflows (alpha below about 1e-155): divide by |(c, v)|
+        # twice, which keeps e(0) = 1/(pi c) finite
+        def eval_one(v):
+            h = math.hypot(c, v)
+            return 4.0 * alpha / h / h
+    else:
+        def eval_one(v):
+            return 4.0 * alpha / (c2 + v * v)
 
     return SpectralMeasure(eval=eval_one, model=m)
 

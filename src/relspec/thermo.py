@@ -67,10 +67,7 @@ from .zetareg import (LaurentData, one_point_laurent,
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Inverse temperature beta and renormalization scale ell (defaults 1).
-
-    The associated thermal circle has radius r = beta / (2 pi).
-    """
+    """Inverse temperature beta and renormalization scale ell (defaults 1)."""
 
     beta: float
     ell: float = 1.0
@@ -80,10 +77,6 @@ class ThermalState:
             raise ValueError(f"beta must be > 0, got {self.beta!r}")
         if not (math.isfinite(self.ell) and self.ell > 0):
             raise ValueError(f"ell must be > 0, got {self.ell!r}")
-
-    @property
-    def r(self):
-        return self.beta / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)

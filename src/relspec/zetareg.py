@@ -9,15 +9,16 @@ convergent on the strip -1/2 < s < 1/2 for the models implemented here
 need the residue and finite part of the continuation at s = -1/2, where the
 v^-2 tail produces a simple pole.  Only real s is supported.
 
-One-point pair: the continuation splits at v = 1, subtracts the v^-2 tail
-of the Lorentzian measure e1(alpha; v) = 4 alpha / ((4 pi alpha)^2 + v^2)
-and carries it in closed form,
+One-point pair: the measure e1(alpha; v) = 4 alpha / (c^2 + v^2),
+c = 4 pi alpha, is a Lorentzian of width c.  In w = v/c (4 alpha/c = 1/pi)
+the tail w > 1 folds onto (0, 1) by w -> 1/w, and its w^(2s) pole part
+integrates in closed form,
 
-    zeta(s) = int_0^1 v^(-2s) e dv
-            + int_1^inf v^(-2s) (e1 - 4 alpha / v^2) dv + 4 alpha / (2s + 1),
+    zeta(s) = (c^(-2s)/pi) [int_0^1 w^(-2s) (1 - w^(4s+2))/(1 + w^2) dw
+                            + 1/(2s + 1)],
 
-so the pole lives in the explicit 4 alpha/(2s+1) term.  These quadratures
-cross-check the closed one-point forms.
+one O(1) integral for every alpha, with the pole in the explicit
+1/(2s + 1).  This quadrature cross-checks the closed one-point forms.
 
 Two-point pair: on the imaginary axis the determinant of the resolvent
 trace factorizes into the two one-center factors times 1 - g(x), x = xi a
@@ -213,28 +214,6 @@ def _power_head(f, s, spec, piece):
     return require_converged(res, f"{piece} at s={s:g}")
 
 
-def _head(e, s, spec):
-    """zeta0 = int_0^1 v^(-2s) e(v) dv."""
-    return _power_head(e.eval, s, spec, "zeta0 (head integral)")
-
-
-def _lorentzian_tail(alpha, s, spec):
-    """int_1^inf v^(-2s) (e1(alpha; v) - 4 alpha / v^2) dv (smooth).
-
-    At s = -1/2 it is -2 alpha log(1 + (4 pi alpha)^2) in closed form.
-    """
-    c2 = (4.0 * math.pi * alpha) ** 2
-    if s == -0.5:
-        return -2.0 * alpha * math.log1p(c2)
-
-    def f(v):
-        v2 = v * v
-        return v ** (-2.0 * s) * (-4.0 * alpha * c2 / (v2 * (c2 + v2)))
-
-    res = integrate_to_infinity(f, 1.0, spec)
-    return require_converged(res, f"Lorentzian tail at s={s:g}")
-
-
 def _interaction_tail(m: TwoPointModel, spec):
     """zA = int_1^inf v h2(v) dv, the s = -1/2 tail of a two-point measure.
 
@@ -286,9 +265,9 @@ def two_point_interaction_energy(m: TwoPointModel, spec=None):
 def _continued_zeta(e: SpectralMeasure, s, spec=None):
     """Analytic continuation of the zeta integral to real s in (-0.75, 0.5).
 
-    The pole at s = -1/2 is carried by the explicit 4 alpha/(2s+1) term of
-    the one-point split and by the closed one-point forms of the two-point
-    one, so s = -1/2 itself is excluded.
+    The pole at s = -1/2 is carried by the explicit 1/(2s+1) term of the
+    one-point integral and by the closed one-point forms of the two-point
+    pair, so s = -1/2 itself is excluded.
     """
     if e.is_zero:
         return 0.0
@@ -301,8 +280,18 @@ def _continued_zeta(e: SpectralMeasure, s, spec=None):
 
     m = e.model
     if isinstance(m, OnePointModel):
-        return (_head(e, s, spec) + _lorentzian_tail(m.alpha, s, spec)
-                + 4.0 * m.alpha / (2.0 * s + 1.0))
+        # the integral in w = v/c of the module docstring
+        p = 4.0 * s + 2.0
+
+        def f(w):
+            if w == 0.0:  # u^q underflowed near s = 1/2, where p > 0
+                return 1.0
+            return -math.expm1(p * math.log(w)) / (1.0 + w * w)
+
+        c = 4.0 * math.pi * m.alpha
+        return c ** (-2.0 * s) / math.pi * (
+            _power_head(f, s, spec, "zeta1 (one-point integral)")
+            + 1.0 / (2.0 * s + 1.0))
     return (one_point_zeta_closed(OnePointModel(m.alpha0), s)
             + one_point_zeta_closed(OnePointModel(m.alpha1), s)
             + _interaction_zeta(m, s, spec))
@@ -331,9 +320,10 @@ def two_point_laurent_parts(m: TwoPointModel, spec=None):
     two_point_laurent.  The head fails to converge at a >= 1e4, where e(v)
     has more than 3,000 periods on (0, 1).
     """
-    zeta0 = _head(two_point_spectral_measure(m), -0.5, spec)
-    tails = (_lorentzian_tail(m.alpha0, -0.5, spec)
-             + _lorentzian_tail(m.alpha1, -0.5, spec)
+    zeta0 = _power_head(two_point_spectral_measure(m).eval, -0.5, spec,
+                        "zeta0 (head integral)")
+    tails = (sum(-2.0 * alpha * math.log1p((4.0 * math.pi * alpha) ** 2)
+                 for alpha in (m.alpha0, m.alpha1))
              + _interaction_tail(m, spec))
     return {
         "zeta0": zeta0,

@@ -13,8 +13,10 @@ import pytest
 from relspec import cli, verify
 from relspec.cli import build_parser, main
 from relspec.models import OnePointModel, TwoPointModel
+from relspec.quad import QuadratureSpec
 from relspec.thermo import (ThermalState, one_point_log_eta_closed,
                             two_point_partition)
+from relspec.zetareg import one_point_zeta_closed
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -30,15 +32,18 @@ def run_cli(capsys, *argv):
 # ---------------------------------------------------------------------------
 
 def test_spectral_measure_table(capsys):
-    code, out, _ = run_cli(capsys, "spectral-measure",
-                           "--alpha", repr(1.0 / (4 * math.pi)),
-                           "--v-min", "0", "--v-max", "2", "--samples", "3")
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "v,e"
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == pytest.approx(1.0 / math.pi, rel=1e-12)
+    # e(0) = 1/(4 pi^2 alpha); at alpha = 1e-300, (4 pi alpha)^2 underflows
+    for alpha in (1.0 / (4 * math.pi), 1e-300):
+        code, out, _ = run_cli(capsys, "spectral-measure",
+                               "--alpha", repr(alpha), "--v-min", "0",
+                               "--v-max", "2", "--samples", "3")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "v,e"
+        first = lines[1].split(",")
+        assert float(first[0]) == 0.0
+        assert float(first[1]) == pytest.approx(
+            1.0 / (4 * math.pi ** 2 * alpha), rel=1e-12)
 
 
 def test_spectral_measure_zero_alpha_all_zero(capsys):
@@ -82,6 +87,26 @@ def test_zeta_table_value_at_zero(capsys):
     middle = rows[2]
     assert float(middle[0]) == 0.0
     assert float(middle[1]) == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    # a split at v = 1 cancels 7 digits here: 0.0040908099 at s = 0.499,
+    # where the closed form is 0.0040908109
+    ["--alpha", "3162.2776601683795", "--s-min", "0.45", "--s-max", "0.499",
+     "--samples", "3"],
+    ["--alpha", "1e12"],
+    ["--alpha", "1e-300", "--s-min", "0", "--s-max", "0.4", "--samples", "3"],
+], ids=["large-alpha-near-half", "alpha-1e12", "alpha-1e-300"])
+def test_one_point_zeta_at_coupling_corners(capsys, argv):
+    code, out, err = run_cli(capsys, "zeta", *argv)
+    assert (code, err) == (0, "")
+    m = OnePointModel(float(argv[1]))
+    rows = [[float(x) for x in line.split(",")]
+            for line in out.strip().split("\n")[1:]]
+    assert len(rows) == (3 if "--samples" in argv else 25)
+    for s, zeta in rows:
+        closed = one_point_zeta_closed(m, s)
+        assert abs(zeta - closed) <= QuadratureSpec().tolerance_for(closed), s
 
 
 def test_heat_trace_columns_and_diff(capsys):
@@ -227,7 +252,7 @@ def test_byte_identical_output(tmp_path, capsys):
     assert out1.read_bytes().endswith(b"\n")
 
 
-def test_jobs_do_not_change_output(capsys):
+def test_removed_flags_are_rejected(capsys):
     # --jobs and --step are gone; --step must not pass for --steps either
     cases = (
         (["spectral-measure", "--model", "two-point", "--alpha0", "1",

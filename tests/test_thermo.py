@@ -23,10 +23,8 @@ from relspec.zetareg import LaurentData, one_point_laurent, two_point_laurent
 # thermal state
 # ---------------------------------------------------------------------------
 
-def test_thermal_state_radius():
-    th = ThermalState(beta=2 * math.pi)
-    assert th.r == 1.0
-    assert th.ell == 1.0
+def test_thermal_state_ell_defaults_to_one():
+    assert ThermalState(beta=2 * math.pi).ell == 1.0
 
 
 def test_thermal_state_validation():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from relspec import zetareg
 from relspec.models import (OnePointModel, TwoPointModel,
                             one_point_spectral_measure,
                             two_point_spectral_measure)
@@ -125,8 +126,45 @@ def test_zeta_strip_consistency_random_points():
         e = one_point_spectral_measure(m)
         # 20 random points, then one just inside the strip
         for s in [rng.uniform(-0.45, 0.45) for _ in range(20)] + [0.49]:
-            assert abs(relative_zeta_in_strip(e, s)
-                       - one_point_zeta_closed(m, s)) < 1e-7
+            closed = one_point_zeta_closed(m, s)
+            assert abs(relative_zeta_in_strip(e, s) - closed) <= \
+                QuadratureSpec().tolerance_for(closed), (alpha, s)
+
+
+def test_zeta_strip_within_tolerance_on_wide_grid():
+    # a split at v = 1 cancels its Lorentzian tail against 4 alpha/(2s + 1)
+    # at large alpha (974 x the tolerance at alpha = 3162, s = 0.499), and
+    # its tail divides by zero at alpha = 1e12
+    strip = (-0.499, -0.45, -0.4, -0.3, -0.2, -0.1, 0.0,
+             0.1, 0.2, 0.3, 0.4, 0.45, 0.499)
+    for spec in (QuadratureSpec(), QuadratureSpec(1e-12, 1e-12)):
+        for k in range(-24, 25):
+            m = OnePointModel(10.0 ** (k / 2))
+            e = one_point_spectral_measure(m)
+            for s in strip:
+                closed = one_point_zeta_closed(m, s)
+                assert abs(relative_zeta_in_strip(e, s, spec) - closed) <= \
+                    spec.tolerance_for(closed), (spec, m.alpha, s)
+
+
+def test_one_point_zeta_takes_one_quadrature(monkeypatch):
+    calls = []
+
+    def counted(name):
+        engine = getattr(zetareg, name)
+
+        def run(*args):
+            calls.append(name)
+            return engine(*args)
+        return run
+
+    for name in ("integrate_finite", "integrate_to_infinity"):
+        monkeypatch.setattr(zetareg, name, counted(name))
+    e = one_point_spectral_measure(OnePointModel(3162.2776601683795))
+    for s in (-0.6, -0.2, 0.0, 0.499):
+        calls.clear()
+        zetareg._continued_zeta(e, s)
+        assert calls == ["integrate_finite"], s
 
 
 def test_zeta_strip_two_point_frozen_value():
