@@ -31,7 +31,6 @@ axis.  e(v), the boundary value, serves the real-axis cross-checks.
 
 import cmath
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -238,16 +237,12 @@ def one_point_spectral_measure(m: OnePointModel) -> SpectralMeasure:
     if alpha == 0.0:
         return SpectralMeasure(eval=lambda v: 0.0, model=m)
     c = 4.0 * math.pi * alpha
-    c2 = c * c
-    if c2 < sys.float_info.min:
-        # c^2 underflows (alpha below about 1e-155): divide by |(c, v)|
-        # twice, which keeps e(0) = 1/(pi c) finite
-        def eval_one(v):
-            h = math.hypot(c, v)
-            return 4.0 * alpha / h / h
-    else:
-        def eval_one(v):
-            return 4.0 * alpha / (c2 + v * v)
+
+    def eval_one(v):
+        # divide by |(c, v)| twice: c^2 would underflow below alpha ~ 1e-155
+        # and overflow above alpha ~ 1e153
+        h = math.hypot(c, v)
+        return 4.0 * alpha / h / h
 
     return SpectralMeasure(eval=eval_one, model=m)
 

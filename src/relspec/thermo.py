@@ -61,7 +61,7 @@ from .models import (OnePointModel, SpectralMeasure, TwoPointModel,
                      one_point_spectral_measure, two_point_interaction,
                      two_point_spectral_measure)
 from .quad import integrate_to_infinity, require_converged
-from .zetareg import (LaurentData, one_point_laurent,
+from .zetareg import (LaurentData, _power_head, one_point_laurent,
                       two_point_interaction_energy)
 
 
@@ -105,11 +105,11 @@ def _thermal_integral(kernel, e: SpectralMeasure, tau, spec, piece):
 
     Taken in w = r v, r = max(1, tau/100), so that past tau = 100 the mass
     at v ~ 1/tau sits at w ~ 1/100, where the nodes reach it, rather than
-    between them.  Two mapped quadratures: the head w in (0, 1) in
-    y = -log w, where a log singularity becomes a decaying
-    (log(tau/r) - y) exp(-y), and the tail (1, inf), where exp(-tau v)
-    damps the cos(2av) factor of a two-point measure.  Their sum is
-    divided by r.
+    between them.  Two mapped quadratures: the head w in (0, 1), the s = 0
+    power head of zetareg, in y = -log w, where a log singularity becomes
+    a decaying (log(tau/r) - y) exp(-y); and the tail (1, inf), where
+    exp(-tau v) damps the cos(2av) factor of a two-point measure.  Their
+    sum is divided by r.
     """
     r = max(1.0, tau / 100.0)
 
@@ -120,12 +120,7 @@ def _thermal_integral(kernel, e: SpectralMeasure, tau, spec, piece):
             return 0.0
         return kernel(x) * e.eval(v)
 
-    def head(y):
-        w = math.exp(-y)
-        return tail(w) * w
-
-    head_val = require_converged(integrate_to_infinity(head, 0.0, spec),
-                                 f"{piece} head")
+    head_val = _power_head(tail, 0.0, spec, f"{piece} head")
     tail_val = require_converged(integrate_to_infinity(tail, 1.0, spec),
                                  f"{piece} tail")
     return (head_val + tail_val) / r

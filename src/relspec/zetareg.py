@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from .models import (OnePointModel, SpectralMeasure, TwoPointModel,
                      two_point_interaction, two_point_interaction_ratio,
                      two_point_spectral_measure)
-from .quad import integrate_finite, integrate_to_infinity, require_converged
+from .quad import integrate_to_infinity, require_converged
 from .specfun import erfc_scaled
 
 
@@ -197,20 +197,20 @@ def one_point_laurent(m: OnePointModel) -> LaurentData:
 # ----------------------------------------------------------------------
 
 def _power_head(f, s, spec, piece):
-    """int_0^1 x^(-2s) f(x) dx for f smooth on [0, 1].
+    """int_0^1 x^(-2s) f(x) dx for real s < 1/2 and f smooth on (0, 1].
 
-    The substitution x = u^q, q = 1/(1 - 2s), gives x^(-2s) dx = q du and
-    moves the endpoint power into the argument of f as u^q.  It is taken
-    when that power is the milder one, q > -2s (s > -0.309).
+    The exact substitution z = -(1 - 2s) log x, q = 1/(1 - 2s), turns it
+    into int_0^inf q exp(-z) f(exp(-qz)) dz, one mapped quadrature for
+    every s: the endpoint power becomes the factor exp(-z), the pole at
+    s = 1/2 stays in the explicit q, and a power or log singularity of f
+    at 0 becomes a growth in z that exp(-z) damps.
     """
     q = 1.0 / (1.0 - 2.0 * s)
-    if q > -2.0 * s:
-        def integrand(u):
-            return q * f(u ** q)
-    else:
-        def integrand(x):
-            return x ** (-2.0 * s) * f(x)
-    res = integrate_finite(integrand, 0.0, 1.0, spec)
+
+    def integrand(z):
+        return q * math.exp(-z) * f(math.exp(-q * z))
+
+    res = integrate_to_infinity(integrand, 0.0, spec)
     return require_converged(res, f"{piece} at s={s:g}")
 
 
@@ -284,7 +284,7 @@ def _continued_zeta(e: SpectralMeasure, s, spec=None):
         p = 4.0 * s + 2.0
 
         def f(w):
-            if w == 0.0:  # u^q underflowed near s = 1/2, where p > 0
+            if w == 0.0:  # exp(-qz) underflowed near s = 1/2, where p > 0
                 return 1.0
             return -math.expm1(p * math.log(w)) / (1.0 + w * w)
 

@@ -32,8 +32,9 @@ def run_cli(capsys, *argv):
 # ---------------------------------------------------------------------------
 
 def test_spectral_measure_table(capsys):
-    # e(0) = 1/(4 pi^2 alpha); at alpha = 1e-300, (4 pi alpha)^2 underflows
-    for alpha in (1.0 / (4 * math.pi), 1e-300):
+    # e(0) = 1/(4 pi^2 alpha); (4 pi alpha)^2 underflows at alpha = 1e-300
+    # and overflows at alpha = 1e200, where e read 0 at every v
+    for alpha in (1.0 / (4 * math.pi), 1e-300, 1e200):
         code, out, _ = run_cli(capsys, "spectral-measure",
                                "--alpha", repr(alpha), "--v-min", "0",
                                "--v-max", "2", "--samples", "3")
@@ -43,7 +44,7 @@ def test_spectral_measure_table(capsys):
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[1]) == pytest.approx(
-            1.0 / (4 * math.pi ** 2 * alpha), rel=1e-12)
+            1.0 / (4 * math.pi ** 2 * alpha), rel=1e-15, abs=0.0)
 
 
 def test_spectral_measure_zero_alpha_all_zero(capsys):

@@ -210,22 +210,15 @@ def test_eta_series_at_large_tau_within_first_omitted_term(tau, n_max):
     assert abs(value - one_point_log_eta_closed(m, tau)) <= bound
 
 
-def test_eta_series_takes_two_quadratures(monkeypatch):
+def test_eta_series_takes_two_quadratures(quadratures):
     # the partial sum and its remainder are one kernel, so the cost does
     # not grow with n_max
-    results = []
-
-    def counted(f, lo, spec=None):
-        results.append(integrate_to_infinity(f, lo, spec))
-        return results[-1]
-
-    monkeypatch.setattr(thermo, "integrate_to_infinity", counted)
     e = one_point_spectral_measure(OnePointModel(0.25))
     for n_max in (1, 50):
-        results.clear()
+        quadratures.clear()
         eta_series_check(e, 2.0, n_max)
-        assert len(results) == 2
-    assert sum(r.evaluations for r in results) <= 400
+        assert len(quadratures) == 2
+    assert sum(r.evaluations for r in quadratures) <= 400
 
 
 def test_eta_series_validation():

@@ -147,24 +147,41 @@ def test_zeta_strip_within_tolerance_on_wide_grid():
                     spec.tolerance_for(closed), (spec, m.alpha, s)
 
 
-def test_one_point_zeta_takes_one_quadrature(monkeypatch):
-    calls = []
-
-    def counted(name):
-        engine = getattr(zetareg, name)
-
-        def run(*args):
-            calls.append(name)
-            return engine(*args)
-        return run
-
-    for name in ("integrate_finite", "integrate_to_infinity"):
-        monkeypatch.setattr(zetareg, name, counted(name))
+def test_one_point_zeta_takes_one_quadrature(quadratures):
     e = one_point_spectral_measure(OnePointModel(3162.2776601683795))
     for s in (-0.6, -0.2, 0.0, 0.499):
-        calls.clear()
+        quadratures.clear()
         zetareg._continued_zeta(e, s)
-        assert calls == ["integrate_finite"], s
+        assert len(quadratures) == 1, s
+
+
+# the continuation range in steps of 0.04, s = -1/2 excluded
+_S_GRID = [s for s in (round(-0.74 + 0.04 * k, 2) for k in range(31))
+           if s != -0.5]
+
+
+def test_one_point_zeta_evaluation_budget(quadratures):
+    # x^(-2s) f(x) near x = 0 cost up to 675 evaluations at s = -0.74
+    # before the head was taken in z = -(1 - 2s) log x
+    for k in range(-12, 13, 2):
+        e = one_point_spectral_measure(OnePointModel(10.0 ** k))
+        for s in _S_GRID:
+            quadratures.clear()
+            zetareg._continued_zeta(e, s)
+            assert quadratures[0].evaluations <= 400, (k, s)
+
+
+def test_interaction_zeta_evaluation_budget(quadratures):
+    for alpha0 in (0.1, 1.0, 10.0):
+        for ratio in (0.1, 1.0, 10.0):
+            edge = 1.0 / (2.0 * math.pi * alpha0 * math.sqrt(ratio))
+            for a in (edge * (1.0 + 1e-12), 0.5 * (edge + 12.0), 12.0):
+                m = TwoPointModel(alpha0, alpha0 * ratio, a)
+                for s in _S_GRID:
+                    quadratures.clear()
+                    zetareg._interaction_zeta(m, s, QuadratureSpec())
+                    assert sum(r.evaluations for r in quadratures) <= 600, (
+                        alpha0, ratio, a, s)
 
 
 def test_zeta_strip_two_point_frozen_value():
