@@ -1,20 +1,18 @@
 """Relative spectral functions and zeta-regularized thermodynamics for
 Schroedinger operators with one and two point interactions in flat 3-space."""
 
-from .models import (BoundStateRegimeError, OnePointModel,
-                     SingularPointError, SpectralMeasure, TwoPointModel,
-                     WrongSheetError, one_point_resolvent_trace,
-                     one_point_spectral_measure, spectral_measure,
-                     two_point_interaction, two_point_interaction_ratio,
-                     two_point_resolvent_trace, two_point_spectral_measure)
+from .models import (BoundStateRegimeError, OnePointModel, SpectralMeasure,
+                     TwoPointModel, one_point_spectral_measure,
+                     spectral_measure, two_point_interaction,
+                     two_point_interaction_ratio, two_point_spectral_measure)
 from .quad import (IntegrandError, NonConvergenceError, QuadratureResult,
-                   QuadratureSpec, integrate_finite, integrate_to_infinity)
+                   QuadratureSpec, integrate_to_infinity)
 from .specfun import erfc_scaled
 from .thermo import (ForceEstimate, PartitionReport, ThermalState,
-                     casimir_force, eta_series_check, log_eta,
-                     one_point_log_eta_closed, one_point_log_z_closed,
-                     one_point_partition, relative_partition,
-                     two_point_log_eta, two_point_partition)
+                     casimir_force, log_eta, one_point_log_eta_closed,
+                     one_point_log_z_closed, one_point_partition,
+                     relative_partition, two_point_log_eta,
+                     two_point_partition)
 from .zetareg import (ContinuationRequiredError, LaurentData,
                       ProbeInconsistencyError, ZetaPoleError,
                       numeric_laurent_probe, one_point_heat_trace_closed,

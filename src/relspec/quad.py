@@ -1,12 +1,10 @@
 """Adaptive quadrature for the semi-infinite spectral integrals.
 
-Two entry points:
-
-* :func:`integrate_finite` is a globally adaptive Gauss-Kronrod (7, 15)
-  bisection scheme on a bounded interval.
-
-* :func:`integrate_to_infinity` handles ``(lo, inf)`` for decaying
-  integrands, mapped onto (0, 1) through ``v = lo + u/(1-u)``.
+One entry point, :func:`integrate_to_infinity`, for ``(lo, inf)`` and
+decaying integrands: the range is mapped onto (0, 1) through
+``v = lo + u/(1-u)`` and taken there by a globally adaptive Gauss-Kronrod
+(7, 15) bisection scheme.  Every library integral, bounded ones included,
+is written in this form.
 
 Non-convergence is reported through the ``converged`` flag on the result,
 never by raising: parameter sweeps must survive a single hard point.  Callers
@@ -97,21 +95,6 @@ def require_converged(result, context=""):
     return result.value
 
 
-class _EvalCounter:
-    __slots__ = ("f", "count")
-
-    def __init__(self, f):
-        self.f = f
-        self.count = 0
-
-    def __call__(self, x):
-        self.count += 1
-        y = self.f(x)
-        if not math.isfinite(y):
-            raise IntegrandError(x, y)
-        return y
-
-
 def _gk15(f, a, b):
     """One Gauss-Kronrod (7,15) panel: (value, error)."""
     center = 0.5 * (a + b)
@@ -148,14 +131,6 @@ def _gk15(f, a, b):
     return value, err
 
 
-def integrate_finite(f, lo, hi, spec: QuadratureSpec | None = None):
-    """Adaptive quadrature of f over the bounded interval (lo, hi)."""
-    spec = spec or QuadratureSpec()
-    if not lo < hi:
-        raise ValueError(f"integrate_finite requires lo < hi, got [{lo}, {hi}]")
-    return _adaptive(_EvalCounter(f), lo, hi, spec)
-
-
 def _adaptive(counter, lo, hi, spec):
     """Heap-driven bisection of (lo, hi), at most 2,000 splits."""
     total, total_err = _gk15(counter, lo, hi)
@@ -180,28 +155,26 @@ def _adaptive(counter, lo, hi, spec):
 
 
 class _MappedTail:
-    """Integrand transported by v = lo + u/(1-u); reports errors at v."""
+    """Integrand transported by v = lo + u/(1-u), with a count of its
+    calls; reports a non-finite value at v."""
 
-    __slots__ = ("inner", "lo")
+    __slots__ = ("f", "lo", "count")
 
-    def __init__(self, inner, lo):
-        self.inner = inner
+    def __init__(self, f, lo):
+        self.f = f
         self.lo = lo
+        self.count = 0
 
     def __call__(self, u):
+        self.count += 1
         w = 1.0 - u
         v = self.lo + u / w
-        y = self.inner(v) / (w * w)
+        y = self.f(v) / (w * w)
         if not math.isfinite(y):
             raise IntegrandError(v, y)
         return y
 
-    @property
-    def count(self):
-        return self.inner.count
-
 
 def integrate_to_infinity(f, lo, spec: QuadratureSpec | None = None):
     """Quadrature of f over (lo, inf); f must decay integrably."""
-    mapped = _MappedTail(_EvalCounter(f), lo)
-    return _adaptive(mapped, 0.0, 1.0, spec or QuadratureSpec())
+    return _adaptive(_MappedTail(f, lo), 0.0, 1.0, spec or QuadratureSpec())

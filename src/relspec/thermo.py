@@ -48,9 +48,10 @@ like exp(-4 pi n a / beta).  In log Z the beta E_int terms cancel, so the
 two-point partition function is closed forms plus a finite sum.  The
 paper's real-axis routes, the Laurent parts (head + Lorentzian and
 interaction tails) and the quadrature log_eta, are the independent
-cross-checks in ``verify``.  log_eta and eta_series_check are one thermal
-integral int_0^inf K(tau v) e(v) dv, taken in w = max(1, tau/100) v so
-that its nodes reach the mass at v ~ 1/tau however large tau is.
+cross-checks in ``verify``.  log_eta is one thermal integral
+int_0^inf K(tau v) e(v) dv, taken in w = max(1, tau/100) v so that its
+nodes reach the mass at v ~ 1/tau however large tau is; the tests take the
+thermal mode series through the same integral.
 """
 
 import math
@@ -179,75 +180,6 @@ def one_point_log_eta_closed(m: OnePointModel, tau):
     return -(mu + series / z)
 
 
-_EULER_GAMMA = 0.5772156649015329
-
-
-def _e1(x):
-    """Exponential integral E1(x) = int_x^inf exp(-t)/t dt for x > 0.
-
-    The power series (DLMF 6.6.2) up to x = 1, the continued fraction
-    (DLMF 6.9.1, even part, modified Lentz) above.
-    """
-    if x <= 1.0:
-        total = 0.0
-        term = 1.0
-        k = 1
-        while True:
-            term *= -x / k
-            total += term / k
-            if abs(term) <= 1e-17 * abs(total):
-                return -_EULER_GAMMA - math.log(x) - total
-            k += 1
-    # E1 = exp(-x) / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...)))
-    b = x + 1.0
-    c = 1e300  # modified Lentz starts C at 1/tiny
-    d = 1.0 / b
-    h = d
-    k = 1
-    while True:
-        a = -float(k * k)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        step = c * d
-        h *= step
-        if abs(step - 1.0) < 3e-16:  # within an ulp of 1
-            return h * math.exp(-x)
-        k += 1
-
-
-def eta_series_check(e: SpectralMeasure, tau, n_max, spec=None):
-    """log eta through the thermal mode series, for cross-validation.
-
-    Expanding the logarithm, log(1 - exp(-x)) = -sum_{n>=1} exp(-n x)/n.
-    The mode terms decay only like n^-2 (the measure is finite at v = 0),
-    so the sum through N = n_max is followed by the Euler-Maclaurin
-    remainder sum_{n>N} f(n) ~ int_{N+1/2}^inf f + f'(N + 1/2)/24.  By
-    linearity sum and remainder are one thermal integral (_thermal_integral,
-    two quadratures whatever N is) of the kernel, with m = N + 1/2,
-
-        S_N(x) = -[sum_{n<=N} exp(-n x)/n + E1(m x)
-                   - exp(-m x) (1/m^2 + x/m)/24].
-
-    The corrected value approaches log_eta as n_max grows and its residual
-    stays below the first omitted term.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if not tau > 0:
-        raise ValueError(f"eta series needs tau > 0, got {tau!r}")
-    if e.is_zero:
-        return 0.0
-    mid = n_max + 0.5
-
-    def kernel(x):
-        partial = sum(math.exp(-n * x) / n for n in range(1, n_max + 1))
-        return -(partial + _e1(mid * x)
-                 - math.exp(-mid * x) * (1.0 / (mid * mid) + x / mid) / 24.0)
-
-    return _thermal_integral(kernel, e, tau, spec, "eta series")
-
-
 def relative_partition(e: SpectralMeasure, laurent: LaurentData,
                        th: ThermalState, spec=None) -> PartitionReport:
     """Assemble log Z and the vacuum energy from measure and Laurent data."""
@@ -362,18 +294,24 @@ def casimir_force(m: TwoPointModel, spec=None) -> ForceEstimate:
     """Casimir force -dE_vac/da from the imaginary-axis interaction energy.
 
     One mapped quadrature of the exact a-derivative (see the module
-    docstring); spec tolerances apply to the dimensionless integral, and
-    the error estimate is its quadrature error scaled by 1/(2 pi a^2).
-    The force depends on neither beta nor ell.
+    docstring), taken in units of g(0) = 1/(c0 c1): the integrand is
+    c0 c1 g (2x + 2)/(1 - g), of order 1 near x = 0 wherever the
+    parameters lie.  Unscaled, with c0 tiny and c1 huge, the integral would
+    sit far below abs_tol and be accepted before any node reached its
+    feature of width c0 at x = 0.  spec bounds the error of the scaled
+    integral, and the error estimate is that quadrature error times
+    1/(2 pi a^2 c0 c1).  The force depends on neither beta nor ell.
     """
-    kernel = two_point_interaction(m)[0]
+    c0 = 4.0 * math.pi * m.alpha0 * m.a
+    c1 = 4.0 * math.pi * m.alpha1 * m.a
 
     def integrand(x):
-        g = kernel(x)
-        return g * (2.0 * x + 2.0) / (1.0 - g)
+        # c0 c1 g, formed without c0 c1 itself, which may overflow
+        h = math.exp(-2.0 * x) / ((1.0 + x / c0) * (1.0 + x / c1))
+        return h * (2.0 * x + 2.0) / (1.0 - h / c0 / c1)
 
     res = integrate_to_infinity(integrand, 0.0, spec)
-    scale = 1.0 / (2.0 * math.pi * m.a * m.a)
+    scale = 1.0 / (2.0 * math.pi * m.a * m.a * c0 * c1)
     return ForceEstimate(
         value=-scale * require_converged(res, "casimir force"),
         error_estimate=scale * res.error_estimate)

@@ -8,8 +8,8 @@ def quadratures(monkeypatch):
     """Every adaptive quadrature relspec runs while the test does, as its
     QuadratureResult in call order.
 
-    Both engines end in quad._adaptive, so the count does not depend on
-    which module calls them or through which name.
+    Every quadrature ends in quad._adaptive, so the count does not depend
+    on which module calls it or through which name.
     """
     results = []
     engine = quad._adaptive

@@ -9,16 +9,15 @@ import math
 
 import pytest
 
+from references import eta_series_check, integrate_finite
 from relspec.cli import main as cli_main
 from relspec.models import (OnePointModel, TwoPointModel,
                             one_point_spectral_measure,
                             two_point_spectral_measure)
-from relspec.quad import QuadratureSpec, integrate_finite, \
-    integrate_to_infinity
-from relspec.thermo import (ThermalState, casimir_force, eta_series_check,
-                            log_eta, one_point_log_eta_closed,
-                            one_point_log_z_closed, one_point_partition,
-                            two_point_partition)
+from relspec.quad import QuadratureSpec, integrate_to_infinity
+from relspec.thermo import (ThermalState, casimir_force, log_eta,
+                            one_point_log_eta_closed, one_point_log_z_closed,
+                            one_point_partition, two_point_partition)
 from relspec.verify import paper_route_forces
 from relspec.zetareg import (numeric_laurent_probe,
                              one_point_heat_trace_closed, one_point_laurent,

@@ -110,6 +110,42 @@ def test_one_point_zeta_at_coupling_corners(capsys, argv):
         assert abs(zeta - closed) <= QuadratureSpec().tolerance_for(closed), s
 
 
+@pytest.mark.parametrize("argv", [
+    # a^2 overflows past a ~ 1.3e154, and (c0 - iva)(c1 - iva) in e(v)
+    ("spectral-measure", "--alpha0", "1", "--alpha1", "1", "--a", "1e160"),
+    ("heat-trace", "--alpha0", "1", "--alpha1", "1", "--a", "1e160"),
+    ("zeta", "--alpha0", "1", "--alpha1", "1", "--a", "1e160"),
+    ("zeta", "--alpha0", "1", "--alpha1", "1", "--a", "1e160", "--laurent"),
+    ("eta", "--alpha0", "1", "--alpha1", "1", "--a", "1e160"),
+    ("partition", "--alpha0", "1", "--alpha1", "1", "--a", "1e160"),
+    ("casimir", "--alpha0", "1", "--alpha1", "1", "--a-max", "1e200",
+     "--steps", "3"),
+    # 4 pi^2 alpha0 alpha1 a^2 = 3.9e21, though a^2 alone overflows
+    ("zeta", "--alpha0", "1e-200", "--alpha1", "1e-200", "--a", "1e210",
+     "--laurent"),
+    # (c0 - iva)(c1 - iva) overflows in e(v), w0 w1 in the heat trace's R
+    ("spectral-measure", "--alpha0", "1e300", "--alpha1", "1e300",
+     "--a", "1"),
+    ("heat-trace", "--alpha0", "1e160", "--alpha1", "1e160", "--a", "1"),
+], ids=lambda argv: " ".join(argv))
+def test_two_point_at_huge_scales(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--model", "two-point",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert rows
+    for row in rows:
+        assert all(math.isfinite(x) for x in row if not isinstance(x, str))
+    if argv[0] == "spectral-measure":
+        # alpha0 = alpha1 = alpha and alpha a >= 1: e(0) = 1/(2 pi^2 alpha)
+        # to 1/(4 pi alpha a) relative
+        v, e0 = rows[0]
+        assert v == 0.0
+        assert e0 == pytest.approx(1.0 / (2.0 * math.pi ** 2
+                                          * float(argv[2])),
+                                   rel=1e-14, abs=0.0)
+
+
 def test_heat_trace_columns_and_diff(capsys):
     code, out, _ = run_cli(capsys, "heat-trace", "--alpha", "0.25",
                            "--t-min", "0.01", "--t-max", "1",
@@ -489,11 +525,16 @@ def test_exit_2_on_missing_parameters(capsys):
 
 
 def test_exit_2_on_bound_state_regime(capsys):
-    code, _, err = run_cli(capsys, "zeta", "--model", "two-point",
-                           "--alpha0", "0.01", "--alpha1", "0.01",
-                           "--a", "1", "--laurent")
-    assert code == 2
-    assert "bound-state" in err
+    for couplings in (("--alpha0", "0.01", "--alpha1", "0.01", "--a", "1"),
+                      # 4 pi^2 alpha0 alpha1 a^2 = 3.9e-99; formed left to
+                      # right, 4 pi^2 alpha0 alpha1 overflows, a^2
+                      # underflows, and no comparison rejects their nan
+                      ("--alpha0", "1e200", "--alpha1", "1e200",
+                       "--a", "1e-250")):
+        code, _, err = run_cli(capsys, "zeta", "--model", "two-point",
+                               *couplings, "--laurent")
+        assert code == 2
+        assert "bound-state" in err
 
 
 def test_exit_2_outside_strip(capsys):

@@ -1,9 +1,10 @@
 """Source hygiene: no module or script imports a name it never uses, no
-private module-level helper of the package is left without a reader, every
-code name the README mentions exists, every quadrature result of the
-package passes the convergence gate, the CLI's command table and its parser
-name the same commands, and the package needs nothing beyond the standard
-library (scipy and numpy stay out of its import graph).
+private module-level helper of the package is left without a reader, no
+public name of the package is read only by the tests, every code name the
+README mentions exists, every quadrature result of the package passes the
+convergence gate, the CLI's command table and its parser name the same
+commands, and the package needs nothing beyond the standard library (scipy
+and numpy stay out of its import graph).
 
 relspec/__init__.py is exempt from the import scan, since its imports are
 the package's public re-exports.
@@ -55,12 +56,13 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def dead_private_names(modules, readers):
-    """Private module-level functions, classes and constants of modules
-    (name -> source) that no source in readers reads.
+def unread_names(modules, readers, private):
+    """Private (or public) module-level functions, classes and constants of
+    modules (name -> source) that no source in readers reads; dunder names
+    are neither.
 
     A name counts as read when it is loaded, taken as an attribute or
-    imported by name; the tests are not readers.
+    imported by name.
     """
     read = set()
     for source in readers:
@@ -71,7 +73,7 @@ def dead_private_names(modules, readers):
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    dead = []
+    unread = []
     for module, source in modules.items():
         for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -81,10 +83,11 @@ def dead_private_names(modules, readers):
                          if isinstance(t, ast.Name)]
             else:
                 continue
-            dead += [(module, node.lineno, name) for name in names
-                     if name.startswith("_") and not name.startswith("__")
-                     and name not in read]
-    return sorted(dead)
+            unread += [(module, node.lineno, name) for name in names
+                       if not name.startswith("__")
+                       and name.startswith("_") == private
+                       and name not in read]
+    return sorted(unread)
 
 
 def test_scan_finds_a_dead_private_helper():
@@ -93,19 +96,54 @@ def test_scan_finds_a_dead_private_helper():
               "def _dead():\n    pass\n"
               "class _Orphan:\n    pass\n"
               "def public():\n    return _used()\n")
-    assert dead_private_names({"m.py": source}, [source]) == [
+    assert unread_names({"m.py": source}, [source], private=True) == [
         ("m.py", 2, "_UNREAD"), ("m.py", 5, "_dead"), ("m.py", 7, "_Orphan")]
 
 
-def test_no_dead_private_helpers():
+def package_and_scripts():
+    """The package's modules (path -> source) and the sources of scripts/."""
     modules = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
                for p in PACKAGE}
-    readers = list(modules.values()) + [
-        p.read_text(encoding="utf-8") for p in (ROOT / "scripts").glob("*.py")]
-    assert dead_private_names(modules, readers) == []
+    scripts = [p.read_text(encoding="utf-8")
+               for p in (ROOT / "scripts").glob("*.py")]
+    return modules, scripts
 
 
-QUADRATURES = {"integrate_finite", "integrate_to_infinity"}
+def test_no_dead_private_helpers():
+    # the tests are not readers
+    modules, scripts = package_and_scripts()
+    assert unread_names(modules, list(modules.values()) + scripts,
+                        private=True) == []
+
+
+def test_scan_finds_a_public_name_only_tests_read():
+    source = ("LIMIT = 3\nUNREAD = 4\n"
+              "def used():\n    return LIMIT\n"
+              "def only_tested():\n    pass\n"
+              "class Orphan:\n    pass\n"
+              "def _private():\n    return used()\n")
+    reexport = "from .m import only_tested, Orphan\n"
+    test = "from m import UNREAD\nassert only_tested() is None\n"
+    # neither the test nor the re-export is passed as a reader
+    assert unread_names({"m.py": source}, [source], private=False) == [
+        ("m.py", 2, "UNREAD"), ("m.py", 5, "only_tested"),
+        ("m.py", 7, "Orphan")]
+    # a name is read where a reader imports it
+    assert unread_names({"m.py": source}, [source, reexport, test],
+                        private=False) == []
+
+
+def test_no_public_name_only_tests_read():
+    # what the package exports should be what it runs: every public name
+    # is read by the package itself or by scripts/, not only by the tests
+    # or by the re-exports of relspec/__init__.py
+    modules, scripts = package_and_scripts()
+    readers = [source for path, source in modules.items()
+               if not path.endswith("__init__.py")] + scripts
+    assert unread_names(modules, readers, private=False) == []
+
+
+QUADRATURES = {"integrate_to_infinity"}
 GATE = {"require_converged"}
 
 
@@ -149,7 +187,8 @@ def ungated_quadratures(source):
 
 def test_scan_finds_an_ungated_quadrature():
     source = ("def inline(f):\n"
-              "    return require_converged(quad.integrate_finite(f, 0, 1))\n"
+              "    return require_converged(\n"
+              "        quad.integrate_to_infinity(f, 0))\n"
               "def named(f):\n"
               "    res = integrate_to_infinity(f, 0.0)\n"
               "    return require_converged(res, 'piece'), res.evaluations\n"
@@ -159,8 +198,8 @@ def test_scan_finds_an_ungated_quadrature():
               "def elsewhere(f):\n"
               "    return require_converged(res)\n"
               "def bare(f):\n"
-              "    return integrate_finite(f, 0.0, 1.0).value\n")
-    assert ungated_quadratures(source) == [7, 12]
+              "    return integrate_to_infinity(f, 1.0).value\n")
+    assert ungated_quadratures(source) == [8, 13]
 
 
 @pytest.mark.parametrize("path", PACKAGE,

@@ -3,14 +3,14 @@ import math
 
 import pytest
 
+from references import (WrongSheetError, one_point_resolvent_trace,
+                        two_point_resolvent_trace, two_rim_measure)
 from relspec.models import (BoundStateRegimeError, OnePointModel,
-                            SpectralMeasure, TwoPointModel, WrongSheetError,
-                            one_point_resolvent_trace,
+                            SpectralMeasure, TwoPointModel,
                             one_point_spectral_measure,
                             two_point_interaction,
                             two_point_interaction_ratio,
-                            two_point_resolvent_trace,
-                            two_point_spectral_measure, two_rim_measure)
+                            two_point_spectral_measure)
 from relspec.quad import integrate_to_infinity
 
 

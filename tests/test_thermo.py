@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import _e1, eta_series_check
 from relspec import thermo
 from relspec.models import (OnePointModel, TwoPointModel,
                             one_point_spectral_measure, two_point_interaction,
                             two_point_spectral_measure)
 from relspec.quad import QuadratureSpec, integrate_to_infinity
-from relspec.thermo import (ForceEstimate, ThermalState, _e1, casimir_force,
-                            eta_series_check, log_eta,
-                            one_point_log_eta_closed, one_point_log_z_closed,
-                            one_point_partition, relative_partition,
-                            two_point_log_eta, two_point_partition)
+from relspec.thermo import (ForceEstimate, ThermalState, casimir_force,
+                            log_eta, one_point_log_eta_closed,
+                            one_point_log_z_closed, one_point_partition,
+                            relative_partition, two_point_log_eta,
+                            two_point_partition)
 from relspec.verify import paper_route_forces
 from relspec.zetareg import LaurentData, one_point_laurent, two_point_laurent
 
@@ -468,6 +469,34 @@ def test_force_frozen_references(alpha0, alpha1, a, ref):
     assert isinstance(f, ForceEstimate)
     assert abs(f.value - ref) <= 1e-10 * abs(ref)
     assert abs(f.value - ref) <= f.error_estimate
+
+
+@pytest.mark.parametrize("alpha0, alpha1, a", [
+    (5.518129003266242e-14, 613826202.6650016, 14713.54357005834),
+    (7.54e-10, 7.47e10, 20.2),
+    (6e-05, 5.23e16, 4.83e-05),
+])
+def test_force_bar_covers_mpmath_where_c0_is_tiny(alpha0, alpha1, a):
+    # c0 ~ 1e-7 and c0 c1 / 4 ~ 1e6: the integral is about 1e-13, below
+    # abs_tol, and its feature of width c0 at x = 0 is what a quadrature
+    # accepted too early misses.  Reference: 40-digit mpmath quadrature
+    # of the same integral, split at c0, c1, 1 and 60.
+    with mpmath.workdps(40):
+        a_mp = mpmath.mpf(a)
+        c0 = 4 * mpmath.pi * mpmath.mpf(alpha0) * a_mp
+        c1 = 4 * mpmath.pi * mpmath.mpf(alpha1) * a_mp
+
+        def integrand(x):
+            g = mpmath.exp(-2 * x) / ((c0 + x) * (c1 + x))
+            return g * (2 * x + 2) / (1 - g)
+
+        points = sorted([mpmath.mpf(0), c0, c1, mpmath.mpf(1),
+                         mpmath.mpf(60)]) + [mpmath.inf]
+        ref = float(-mpmath.quad(integrand, points)
+                    / (2 * mpmath.pi * a_mp ** 2))
+    f = casimir_force(TwoPointModel(alpha0, alpha1, a))
+    assert abs(f.value - ref) <= f.error_estimate
+    assert abs(f.value - ref) <= 1e-10 * abs(ref)
 
 
 def test_force_finite_near_constraint_edge():
